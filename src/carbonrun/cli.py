@@ -133,7 +133,7 @@ def run_measured(argv: list[str], **opts) -> tuple[int, ReportDocument | None]:
             source = TraceSource.from_file(trace_path)
         else:
             source = PowercapSource()
-    except (TraceError, OSError) as exc:
+    except (TraceError, ReadFailure, OSError) as exc:
         return _fail(str(exc)), None
     except NoPowercapInterface as exc:
         return (

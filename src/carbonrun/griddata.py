@@ -586,10 +586,12 @@ def _normalize(key: str) -> str:
 def lookup_region(snapshot: DatasetSnapshot, key: str) -> RegionRecord:
     """Resolve a user-supplied region name or id, case-insensitively.
 
-    Both ids ("wy", "de", "us-average") and display names ("Wyoming",
+    Both ids ("us-wy", "de", "us-average") and display names ("Wyoming",
     "Germany") resolve; hyphens, underscores and runs of spaces are
     interchangeable.  Where a state and a country share a display name the
-    state wins; the country remains reachable by id.
+    state wins; the country remains reachable by id.  A bare US postal code
+    such as "wy" does not resolve: two-letter ids are country codes, so
+    "de" stays Germany and "in" stays India.
     """
     norm = _normalize(key)
     region_id = snapshot._index.get(norm)

@@ -1,14 +1,19 @@
 """CPU package energy metering via the Linux powercap counters.
 
 The kernel exposes monotonically increasing energy counters (microjoules)
-under /sys/class/powercap/intel-rapl.  Power is the first difference of two
-counter reads divided by the elapsed time.  Counters wrap at
-max_energy_range_uj; a wrapped pair is discarded rather than reconstructed,
-because the counter may have wrapped more than once between reads.
+under /sys/class/powercap/intel-rapl.  Energy is integrated from counter
+deltas: every pair of consecutive whole-machine reads adds the joules its
+counters advanced and the seconds it covers to a running total, and power
+is joules over seconds.  Counters wrap at max_energy_range_uj; a wrapped
+pair is dropped rather than reconstructed, because the counter may have
+wrapped more than once between reads, and `summarize` bridges its time at
+the integrated mean power.  Only the previous read is kept, so memory stays
+constant however long the run.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import shutil
@@ -16,7 +21,6 @@ import subprocess
 import threading
 import time
 from dataclasses import dataclass
-from statistics import fmean
 
 POWERCAP_ROOT = "/sys/class/powercap/intel-rapl"
 UJ_PER_J = 1_000_000
@@ -51,7 +55,7 @@ class EmptyProcessSamples(Exception):
     """The measured process exited before a single power sample completed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyCounterReading:
     domain_id: str
     energy_uj: int
@@ -145,29 +149,57 @@ def enumerate_package_domains(root: str = POWERCAP_ROOT) -> list[str]:
     return domains
 
 
-def read_counter(domain_path: str) -> EnergyCounterReading:
-    """Read one domain's cumulative energy counter (microjoules)."""
+def read_counter(
+    domain_path: str, max_range_uj: int | None = None
+) -> EnergyCounterReading:
+    """Read one domain's cumulative energy counter (microjoules).
+
+    The counter's range is read from max_energy_range_uj unless the caller
+    already knows it.
+    """
     timestamp = time.monotonic()
     energy = _read_int(os.path.join(domain_path, "energy_uj"))
-    max_range = _read_int(os.path.join(domain_path, "max_energy_range_uj"))
-    return EnergyCounterReading(domain_path, energy, max_range, timestamp)
+    if max_range_uj is None:
+        max_range_uj = _read_int(os.path.join(domain_path, "max_energy_range_uj"))
+    return EnergyCounterReading(domain_path, energy, max_range_uj, timestamp)
+
+
+def pair_energy(
+    prev: dict[str, EnergyCounterReading], cur: dict[str, EnergyCounterReading]
+) -> tuple[float, float] | None:
+    """Joules all domains recorded between two whole-machine instants, and
+    the seconds the pair covers (the mean of the per-domain intervals).
+
+    Returns None when the pair must be dropped: a domain wrapped (the wrap
+    count between reads is unknowable, and a partial sum would understate
+    machine energy), a domain vanished, or there is no domain at all.
+    """
+    if not prev:
+        return None
+    delta_uj = 0
+    seconds = 0.0
+    for domain_id, first in prev.items():
+        second = cur.get(domain_id)
+        if second is None:
+            return None
+        if second.timestamp <= first.timestamp:
+            raise ValueError("readings must be in increasing time order")
+        if second.energy_uj < first.energy_uj:
+            return None
+        delta_uj += second.energy_uj - first.energy_uj
+        seconds += second.timestamp - first.timestamp
+    return delta_uj / UJ_PER_J, seconds / len(prev)
 
 
 def power_from_readings(
     first: EnergyCounterReading, second: EnergyCounterReading
 ) -> PowerSample | None:
-    """Average power over the interval between two reads of one domain.
-
-    Returns None when the counter wrapped (energy delta is negative): the
-    wrap count between reads is unknowable, so the pair is discarded.
-    """
-    if second.timestamp <= first.timestamp:
-        raise ValueError("readings must be in increasing time order")
-    delta_uj = second.energy_uj - first.energy_uj
-    if delta_uj < 0:
+    """Average power between two reads of one domain; None if it wrapped."""
+    pair = pair_energy({first.domain_id: first}, {first.domain_id: second})
+    if pair is None:
         return None
-    interval = second.timestamp - first.timestamp
-    return PowerSample(watts=delta_uj / UJ_PER_J / interval, interval_s=interval)
+    joules, seconds = pair
+    return PowerSample(watts=joules / seconds, interval_s=seconds)
 
 
 def read_gpu_power(
@@ -206,55 +238,81 @@ def read_gpu_power(
 
 
 class PowercapSource:
-    """Live counter source reading every package domain per instant."""
+    """Live counter source reading every package domain per instant.
+
+    A domain's max_energy_range_uj is fixed, so it is read once here and an
+    instant reads one file per domain.
+    """
 
     virtual_time = False
 
     def __init__(self, root: str = POWERCAP_ROOT):
-        self._domains = enumerate_package_domains(root)
+        self._max_ranges = {
+            path: _read_int(os.path.join(path, "max_energy_range_uj"))
+            for path in enumerate_package_domains(root)
+        }
 
     @property
     def domain_ids(self) -> list[str]:
-        return list(self._domains)
+        return list(self._max_ranges)
 
     def next_instant(self) -> dict[str, EnergyCounterReading] | None:
-        return {d: read_counter(d) for d in self._domains}
+        return {d: read_counter(d, r) for d, r in self._max_ranges.items()}
 
 
 def combine_instants(
     instants: list[dict[str, EnergyCounterReading]],
-    gpu_watts: list[float] | None = None,
 ) -> list[PowerSample]:
-    """Turn consecutive whole-machine counter snapshots into power samples.
+    """One power sample per kept pair of consecutive instants.
 
-    Each adjacent pair of instants yields one sample whose watts are the sum
-    over domains.  If any domain wrapped within the pair, the entire instant
-    pair is dropped: a partial sum would understate machine power.  GPU watts,
-    when polled, are indexed by leading instant and added to the CPU sum.
+    Watts are the pair's joules over its seconds (see `pair_energy`);
+    dropped pairs yield no sample.  Metering itself never holds a list of
+    instants: it folds them into an `EnergyIntegral`.
     """
     samples = []
-    for i in range(len(instants) - 1):
-        prev, cur = instants[i], instants[i + 1]
-        watts = 0.0
-        intervals = []
-        wrapped = False
-        for domain_id, first in prev.items():
-            second = cur.get(domain_id)
-            if second is None:
-                wrapped = True  # domain vanished mid-run; treat like a wrap
-                break
-            sample = power_from_readings(first, second)
-            if sample is None:
-                wrapped = True
-                break
-            watts += sample.watts
-            intervals.append(sample.interval_s)
-        if wrapped or not intervals:
-            continue
-        if gpu_watts is not None:
-            watts += gpu_watts[i]
-        samples.append(PowerSample(watts=watts, interval_s=fmean(intervals)))
+    for prev, cur in zip(instants, instants[1:]):
+        pair = pair_energy(prev, cur)
+        if pair is not None:
+            joules, seconds = pair
+            samples.append(PowerSample(watts=joules / seconds, interval_s=seconds))
     return samples
+
+
+class EnergyIntegral:
+    """Running joules and seconds over a stream of whole-machine instants.
+
+    Only the previous instant is kept: each new one closes a pair that is
+    either added to the totals or counted as dropped (see `pair_energy`).
+    GPU watts polled after instant i price pair (i, i+1) over its seconds.
+    """
+
+    def __init__(self):
+        self.joules = 0.0
+        self.seconds = 0.0
+        self.pairs = 0
+        self.dropped = 0
+        self._prev: dict[str, EnergyCounterReading] | None = None
+        self._prev_gpu_watts = 0.0
+
+    def add(self, instant: dict[str, EnergyCounterReading], gpu_watts: float = 0.0) -> None:
+        prev, self._prev = self._prev, instant
+        prev_gpu_watts, self._prev_gpu_watts = self._prev_gpu_watts, gpu_watts
+        if prev is None:
+            return
+        pair = pair_energy(prev, instant)
+        if pair is None:
+            self.dropped += 1
+            return
+        joules, seconds = pair
+        self.joules += joules + prev_gpu_watts * seconds
+        self.seconds += seconds
+        self.pairs += 1
+
+    def samples(self) -> list[PowerSample]:
+        """The integral as one sample (watts = joules / seconds), or none."""
+        if not self.pairs:
+            return []
+        return [PowerSample(watts=self.joules / self.seconds, interval_s=self.seconds)]
 
 
 class SamplingSession:
@@ -263,7 +321,9 @@ class SamplingSession:
     For a live source the loop sleeps `sample_interval_s` between instants
     and takes one final instant when stopped, so short-lived processes still
     get a trailing partial sample.  For a trace source the loop consumes the
-    whole trace immediately (virtual time needs no sleeping).
+    whole trace immediately (virtual time needs no sleeping).  Instants are
+    folded into an `EnergyIntegral` as they arrive; `pairs` and `dropped`
+    count the pairs it kept and dropped.
     """
 
     def __init__(self, source, config: MeterConfig):
@@ -271,26 +331,34 @@ class SamplingSession:
         self._config = config
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
-        self._instants: list[dict[str, EnergyCounterReading]] = []
-        self._gpu: list[float] = []
+        self._integral = EnergyIntegral()
+
+    @property
+    def pairs(self) -> int:
+        return self._integral.pairs
+
+    @property
+    def dropped(self) -> int:
+        return self._integral.dropped
 
     def start(self) -> None:
         self._thread.start()
 
     def stop(self) -> list[PowerSample]:
+        """Stop sampling; return the integrated sample (empty if no pair was kept)."""
         self._stop.set()
         self._thread.join()
-        gpu = self._gpu if self._config.gpu_enabled else None
-        return combine_instants(self._instants, gpu)
+        return self._integral.samples()
 
     def _poll_once(self) -> bool:
         instant = self._source.next_instant()
         if instant is None:
             return False
-        self._instants.append(instant)
+        gpu_watts = 0.0
         if self._config.gpu_enabled:
             sample = read_gpu_power(interval_s=self._config.sample_interval_s)
-            self._gpu.append(sample.watts if sample else 0.0)
+            gpu_watts = sample.watts if sample else 0.0
+        self._integral.add(instant, gpu_watts)
         return True
 
     def _run(self) -> None:
@@ -306,21 +374,30 @@ class SamplingSession:
 
 
 def collect_baseline(source, config: MeterConfig) -> list[PowerSample]:
-    """Sample idle power for `baseline_duration_s` before the process starts."""
+    """Integrate idle power for `baseline_duration_s` before the process starts.
+
+    Returns the integrated sample, or an empty list when no pair was kept.
+    """
     if config.baseline_duration_s == 0:
         return []
-    instants = []
+    integral = EnergyIntegral()
     deadline = time.monotonic() + config.baseline_duration_s
     instant = source.next_instant()
     if instant is not None:
-        instants.append(instant)
+        integral.add(instant)
     while time.monotonic() < deadline:
         time.sleep(config.sample_interval_s)
         instant = source.next_instant()
         if instant is None:
             break
-        instants.append(instant)
-    return combine_instants(instants)
+        integral.add(instant)
+    return integral.samples()
+
+
+def _mean_watts(samples: list[PowerSample]) -> float:
+    """Time-weighted mean power: sum of watts * seconds over total seconds."""
+    joules = math.fsum(s.watts * s.interval_s for s in samples)
+    return joules / math.fsum(s.interval_s for s in samples)
 
 
 def summarize(
@@ -331,11 +408,15 @@ def summarize(
 ) -> MeasurementSummary:
     """Reduce two sample streams to the quantities the report needs.
 
-    Process power is mean total power minus mean baseline power, clamped at
-    zero (noise can push the difference negative for near-idle workloads;
-    the clamp is flagged so the report can say so).  Energy is power times
-    wall duration, and the wall-plug figure divides by PSU efficiency since
-    the counters sit downstream of the power supply.
+    Each stream's power is its time-weighted mean, sum(w * dt) / sum(dt);
+    for the integrated sample `SamplingSession.stop` returns, that is joules
+    over covered seconds.  Process power is total minus baseline power,
+    clamped at zero (noise can push the difference negative for near-idle
+    workloads; the clamp is flagged so the report can say so).  Energy is
+    power times wall duration, so time no kept pair covers (a pair dropped
+    for a wrap or a vanished domain) is bridged at the mean.  The wall-plug
+    figure divides by PSU efficiency since the counters sit downstream of
+    the power supply.
     """
     if duration_s <= 0:
         raise ValueError(f"non-positive duration: {duration_s}")
@@ -344,8 +425,8 @@ def summarize(
             "process exited before one full sampling interval; "
             "nothing to report (try a smaller --interval)"
         )
-    baseline_watts = fmean(s.watts for s in baseline) if baseline else 0.0
-    total_watts = fmean(s.watts for s in process)
+    baseline_watts = _mean_watts(baseline) if baseline else 0.0
+    total_watts = _mean_watts(process)
     raw = total_watts - baseline_watts
     process_watts = max(raw, 0.0)
     measured_kwh = process_watts * duration_s * KWH_PER_J

@@ -4,14 +4,25 @@ Trace files are CSV with rows `timestamp_s,domain_id,energy_uj,max_range_uj`.
 Rows sharing a timestamp form one instant (a snapshot of every domain); each
 instant must cover the same domain set and timestamps must strictly increase.
 An optional header row is tolerated.
+
+A trace is parsed in one pass into compact columns: one array of
+timestamps, and per domain one array of counter values and one of ranges.
+An instant is rebuilt only when it is served, so a replay holds a few dozen
+bytes per instant rather than one object per reading.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+from array import array
+from collections.abc import Iterable, Iterator
 
 from .meter import EnergyCounterReading
+
+# one instant as the parser yields it: timestamp, {domain: (energy, range)}
+_Group = tuple[float, dict[str, tuple[int, int]]]
 
 
 class TraceError(Exception):
@@ -28,41 +39,81 @@ class TraceSource:
 
     virtual_time = True
 
-    def __init__(self, instants: list[dict[str, EnergyCounterReading]]):
-        if len(instants) < 2:
-            raise TraceError("trace needs at least two instants to form a sample")
-        self._instants = instants
-        self._cursor = 0
-        first = next(iter(instants[0].values()))
-        last = next(iter(instants[-1].values()))
-        self.span_s = last.timestamp - first.timestamp
+    def __init__(self, instants: Iterable[dict[str, EnergyCounterReading]]):
+        """Serve `instants`, each stamped with its first reading's timestamp."""
+        self._load(
+            (next(iter(instant.values())).timestamp,
+             {d: (r.energy_uj, r.max_range_uj) for d, r in instant.items()})
+            for instant in instants
+        )
 
     @classmethod
     def from_csv(cls, text: str) -> "TraceSource":
-        return cls(parse_trace(text))
+        return cls._from_rows(csv.reader(io.StringIO(text)))
 
     @classmethod
     def from_file(cls, path: str) -> "TraceSource":
-        with open(path) as fh:
-            return cls(parse_trace(fh.read()))
+        with open(path, newline="", encoding="utf-8") as fh:
+            try:
+                return cls._from_rows(csv.reader(fh))
+            except UnicodeDecodeError as exc:
+                raise TraceError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+    @classmethod
+    def _from_rows(cls, rows: Iterable[list[str]]) -> "TraceSource":
+        source = cls.__new__(cls)
+        try:
+            source._load(_instants(rows))
+        except csv.Error as exc:
+            raise TraceError(str(exc)) from None
+        return source
+
+    def _load(self, groups: Iterable[_Group]) -> None:
+        timestamps = array("d")
+        columns: list[tuple[str, array, array]] = []
+        domains: set[str] = set()
+        for index, (ts, group) in enumerate(groups):
+            if index == 0:
+                columns = [(d, array("q"), array("q")) for d in group]
+                domains = set(group)
+            elif group.keys() != domains:
+                raise TraceError(f"instant {index} does not cover domains {sorted(domains)}")
+            try:
+                for domain, energies, ranges in columns:
+                    energy, max_range = group[domain]
+                    energies.append(energy)
+                    ranges.append(max_range)
+            except OverflowError:
+                raise TraceError(f"instant {index}: counter values out of range") from None
+            timestamps.append(ts)
+        if len(timestamps) < 2:
+            raise TraceError("trace needs at least two instants to form a sample")
+        self._timestamps = timestamps
+        self._columns = columns
+        self._cursor = 0
+        self.span_s = timestamps[-1] - timestamps[0]
 
     @property
     def domain_ids(self) -> list[str]:
-        return sorted(self._instants[0])
+        return sorted(domain for domain, _, _ in self._columns)
 
     def next_instant(self) -> dict[str, EnergyCounterReading] | None:
-        if self._cursor >= len(self._instants):
+        i = self._cursor
+        if i >= len(self._timestamps):
             return None
-        instant = self._instants[self._cursor]
-        self._cursor += 1
-        return instant
+        self._cursor = i + 1
+        ts = self._timestamps[i]
+        return {
+            domain: EnergyCounterReading(domain, energies[i], ranges[i], ts)
+            for domain, energies, ranges in self._columns
+        }
 
 
-def parse_trace(text: str) -> list[dict[str, EnergyCounterReading]]:
-    instants: list[dict[str, EnergyCounterReading]] = []
-    current: dict[str, EnergyCounterReading] = {}
-    current_ts = None
-    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+def _instants(rows: Iterable[list[str]]) -> Iterator[_Group]:
+    """Validate CSV rows and group them into instants, in one pass."""
+    group: dict[str, tuple[int, int]] = {}
+    group_ts = None
+    for lineno, row in enumerate(rows, start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if lineno == 1 and row[0].strip().lower().startswith("timestamp"):
@@ -75,27 +126,25 @@ def parse_trace(text: str) -> list[dict[str, EnergyCounterReading]]:
             max_range = int(row[3])
         except ValueError as exc:
             raise TraceError(f"line {lineno}: {exc}") from None
+        if not math.isfinite(ts):
+            raise TraceError(f"line {lineno}: timestamp {row[0].strip()} is not finite")
         domain = row[1].strip()
         if energy < 0 or max_range <= 0:
             raise TraceError(f"line {lineno}: counter values out of range")
-        if current_ts is None or ts != current_ts:
-            if current_ts is not None:
-                if ts < current_ts:
-                    raise TraceError(
-                        f"line {lineno}: timestamps must not decrease"
-                    )
-                instants.append(current)
-            current = {}
-            current_ts = ts
-        if domain in current:
+        if ts != group_ts:
+            if group_ts is not None:
+                if ts < group_ts:
+                    raise TraceError(f"line {lineno}: timestamps must not decrease")
+                yield group_ts, group
+            group = {}
+            group_ts = ts
+        if domain in group:
             raise TraceError(f"line {lineno}: domain {domain} repeated at {ts}")
-        current[domain] = EnergyCounterReading(domain, energy, max_range, ts)
-    if current:
-        instants.append(current)
-    if len(instants) < 2:
-        raise TraceError("trace needs at least two instants to form a sample")
-    domains = set(instants[0])
-    for i, instant in enumerate(instants):
-        if set(instant) != domains:
-            raise TraceError(f"instant {i} does not cover domains {sorted(domains)}")
-    return instants
+        group[domain] = (energy, max_range)
+    if group:
+        yield group_ts, group
+
+
+def parse_trace(text: str) -> list[dict[str, EnergyCounterReading]]:
+    """Every instant of a trace, validated, as `TraceSource` serves them."""
+    return list(iter(TraceSource.from_csv(text).next_instant, None))

@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+import carbonrun
 from carbonrun.griddata import DatasetSnapshot
 
 MAX_RANGE_UJ = 262_143_328_850
@@ -28,6 +31,28 @@ def piecewise_trace(segments, interval_s=1.0, domains=("pkg-0",), start_uj=0):
     return "\n".join(lines) + "\n"
 
 
+def short_tail_trace():
+    """Trace CSV of 9 s at 10 W, then a 10 ms interval carrying 10 J: 100 J.
+
+    Live runs always end with such a short trailing interval.  An unweighted
+    mean of per-interval watts, (9 * 10 + 1000) / 10 W over 9.01 s, reads 982 J.
+    """
+    rows = [f"{t},pkg-0,{t * 10_000_000},{MAX_RANGE_UJ}" for t in range(10)]
+    rows.append(f"9.01,pkg-0,100000000,{MAX_RANGE_UJ}")
+    return "\n".join(rows) + "\n"
+
+
 @pytest.fixture(scope="session")
 def snapshot():
     return DatasetSnapshot.load()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_pythonpath():
+    """Let `python -m carbonrun` children import the package under test,
+    also from a checkout that is not installed."""
+    package_root = os.path.dirname(os.path.dirname(carbonrun.__file__))
+    paths = [package_root, os.environ.get("PYTHONPATH", "")]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
+        yield

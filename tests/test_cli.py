@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from conftest import constant_trace
+from conftest import constant_trace, short_tail_trace
+from test_traces import MALFORMED_TRACES, NON_UTF8_TRACE
 
 CLI = [sys.executable, "-m", "carbonrun"]
 
@@ -82,6 +83,21 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "payload", [text.encode() for text in MALFORMED_TRACES] + [NON_UTF8_TRACE]
+    )
+    def test_bad_trace_exits_2_before_child(self, tmp_path, payload):
+        trace = tmp_path / "bad.csv"
+        trace.write_bytes(payload)
+        marker = tmp_path / "child-ran"
+        proc = run_cli(
+            "run", "--trace", str(trace), "--offline", "--", "touch", str(marker),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("carbonrun: error: ")
+        assert "Traceback" not in proc.stderr
+        assert not marker.exists()
+
 
 class TestStdioTransparency:
     def test_child_stdout_untouched(self, trace_file):
@@ -120,6 +136,13 @@ class TestMeasurement:
         )
         assert doc["resolution"]["method"] == "explicit"
         assert doc["mix"]["region_id"] == "us-wy"
+
+    def test_short_trailing_interval_is_time_weighted(self, tmp_path):
+        trace = tmp_path / "tail.csv"
+        trace.write_text(short_tail_trace())
+        proc = measured_run(str(trace), "--efficiency", "1.0")
+        doc = json.loads(proc.stdout)
+        assert doc["readings"]["measured_kwh"] == pytest.approx(100 / 3.6e6, rel=1e-9)
 
     def test_env_var_region(self, trace_file):
         proc = run_cli(

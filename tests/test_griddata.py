@@ -240,6 +240,13 @@ class TestLookup:
         assert snapshot.lookup("ge").id == "ge"
         assert snapshot.lookup("ge").kind is RegionKind.COUNTRY
 
+    def test_state_postal_code_needs_us_prefix(self, snapshot):
+        assert snapshot.lookup("us-wy") == snapshot.lookup("Wyoming")
+        with pytest.raises(UnknownRegion):
+            snapshot.lookup("wy")
+        assert snapshot.lookup("de").display_name == "Germany"
+        assert snapshot.lookup("in").display_name == "India"
+
     def test_unknown_gets_suggestions(self, snapshot):
         with pytest.raises(UnknownRegion) as err:
             snapshot.lookup("wioming")

@@ -1,11 +1,12 @@
 import math
 import os
 import stat
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from carbonrun import meter
+from carbonrun import cli, meter
 from carbonrun.meter import (
     EmptyProcessSamples,
     EnergyCounterReading,
@@ -22,7 +23,7 @@ from carbonrun.meter import (
 )
 from carbonrun.traces import TraceSource
 
-from conftest import constant_trace, piecewise_trace
+from conftest import constant_trace, piecewise_trace, short_tail_trace
 
 
 def reading(energy_uj, t, domain="pkg-0", max_range=10**12):
@@ -130,6 +131,23 @@ class TestSysfsReads:
         (domain / "energy_uj").write_text("not-a-number\n")
         with pytest.raises(ReadFailure):
             read_counter(str(domain))
+
+    def test_source_reads_max_range_once(self, tmp_path):
+        root = tmp_path / "intel-rapl"
+        domain = self.make_domain(root, "intel-rapl:0", "package-0", energy=42)
+        source = meter.PowercapSource(str(root))
+        (domain / "max_energy_range_uj").unlink()
+        reading = source.next_instant()[str(domain)]
+        assert (reading.energy_uj, reading.max_range_uj) == (42, 10**12)
+
+    def test_unreadable_max_range_exits_2_with_path(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "intel-rapl"
+        domain = self.make_domain(root, "intel-rapl:0", "package-0")
+        (domain / "max_energy_range_uj").write_text("garbage\n")
+        monkeypatch.setattr(cli, "PowercapSource", lambda: meter.PowercapSource(str(root)))
+        code, doc = cli.run_measured(["true"], offline=True)
+        assert (code, doc) == (2, None)
+        assert str(domain / "max_energy_range_uj") in capsys.readouterr().err
 
 
 class TestGpu:
@@ -269,8 +287,48 @@ class TestSamplingSession:
         session = meter.SamplingSession(source, MeterConfig())
         session.start()
         samples = session.stop()
-        assert len(samples) == 30
-        assert all(s.watts == pytest.approx(10.0) for s in samples)
+        assert (session.pairs, session.dropped) == (30, 0)
+        assert [(s.watts, s.interval_s) for s in samples] == [
+            (pytest.approx(10.0), pytest.approx(30.0))
+        ]
+
+    def test_short_trailing_interval_is_time_weighted(self):
+        source = TraceSource.from_csv(short_tail_trace())
+        session = meter.SamplingSession(source, MeterConfig())
+        session.start()
+        samples = session.stop()
+        summary = summarize(
+            [], samples, source.span_s, MeterConfig(psu_efficiency=1.0)
+        )
+        assert summary.measured_kwh * 3.6e6 == pytest.approx(100.0, rel=1e-9)
+
+    def test_wrapped_pair_is_counted_and_bridged(self):
+        rows = [f"{t},pkg-0,{e},1000000000" for t, e in
+                [(0, 0), (1, 5_000_000), (2, 2_000), (3, 5_002_000)]]
+        source = TraceSource.from_csv("\n".join(rows))
+        session = meter.SamplingSession(source, MeterConfig())
+        session.start()
+        samples = session.stop()
+        assert (session.pairs, session.dropped) == (2, 1)
+        summary = summarize(
+            [], samples, source.span_s, MeterConfig(psu_efficiency=1.0)
+        )
+        assert summary.measured_kwh * 3.6e6 == pytest.approx(15.0)
+
+    def test_replay_memory_does_not_grow_with_trace_length(self):
+        def session_peak_bytes(instants):
+            source = TraceSource.from_csv(constant_trace(10.0, instants))
+            tracemalloc.start()
+            try:
+                session = meter.SamplingSession(source, MeterConfig())
+                session.start()
+                session.stop()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        session_peak_bytes(10)  # first-use allocations
+        assert session_peak_bytes(50_000) <= session_peak_bytes(5_000) + 16 * 1024
 
     def test_live_session_with_fake_sysfs(self, tmp_path):
         root = tmp_path / "intel-rapl"
@@ -308,6 +366,5 @@ class TestSamplingSession:
         stop_feeding.set()
         feeder.join()
 
-        assert len(samples) >= 5
-        mean = sum(s.watts for s in samples) / len(samples)
-        assert 0.5 < mean < 4.0
+        assert session.pairs >= 5
+        assert 0.5 < samples[0].watts < 4.0
