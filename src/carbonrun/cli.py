@@ -185,7 +185,10 @@ def run_measured(argv: list[str], **opts) -> tuple[int, ReportDocument | None]:
     try:
         summary = summarize(baseline, samples, duration, config)
     except EmptyProcessSamples as exc:
-        click.echo(f"carbonrun: error: {exc}", err=True)
+        reason = exc if not session.dropped else (
+            f"every counter pair ({session.dropped}) was dropped: a counter fell "
+            "between reads (wrap or reset); nothing to report")
+        click.echo(f"carbonrun: error: {reason}", err=True)
         return exit_code, None
 
     doc = build_report(

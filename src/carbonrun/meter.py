@@ -7,12 +7,15 @@ counters advanced and the seconds it covers to a running total, and power
 is joules over seconds.  Counters wrap at max_energy_range_uj; a wrapped
 pair is dropped rather than reconstructed, because the counter may have
 wrapped more than once between reads, and `summarize` bridges its time at
-the integrated mean power.  Only the previous read is kept, so memory stays
-constant however long the run.
+the integrated mean power.  A live run keeps only the previous read, so
+memory stays constant however long the run.  A replayed trace runs in
+virtual time, so `fold_columns` integrates it in one pass over its columns
+with the same pair rule, holding no instant at all.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 import re
@@ -20,7 +23,10 @@ import shutil
 import subprocess
 import threading
 import time
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain, compress, count, groupby, islice
+from operator import ge, gt, sub
 
 POWERCAP_ROOT = "/sys/class/powercap/intel-rapl"
 UJ_PER_J = 1_000_000
@@ -191,6 +197,47 @@ def pair_energy(
     return delta_uj / UJ_PER_J, seconds / len(prev)
 
 
+def _pairs(column: Sequence, start: int) -> tuple[Iterator, Iterator]:
+    """Iterators over column[j] and column[j + 1] for j >= start, uncopied."""
+    return islice(column, start, None), islice(column, start + 1, None)
+
+
+def fold_columns(
+    integral: EnergyIntegral,
+    timestamps: Sequence[float],
+    energies: Sequence[Sequence[int]],
+    start: int = 0,
+) -> None:
+    """Fold every pair of consecutive instants from index `start` on into
+    `integral`, given the instants' timestamps and one counter column (µJ)
+    per domain (at least one), with the pair rule of `pair_energy`.
+
+    Kept µJ are each domain's net advance minus the dropped pairs' advances,
+    and kept seconds the intervals of all pairs minus the dropped ones'.  The
+    pairs where a counter fell are found by C-level iterators over the
+    columns: one pass per column, nothing copied, memory O(domains).
+    """
+    last = len(timestamps) - 1
+    if last <= start:
+        return
+    if any(map(ge, *_pairs(timestamps, start))):
+        raise ValueError("readings must be in increasing time order")
+    falls = heapq.merge(*(
+        compress(count(start), map(gt, *_pairs(column, start))) for column in energies
+    ))
+    dropped = [j for j, _ in groupby(falls)]
+    kept_uj = sum(column[last] - column[start] for column in energies) - sum(
+        column[j + 1] - column[j] for j in dropped for column in energies
+    )
+    earlier, later = _pairs(timestamps, start)
+    seconds = math.fsum(chain(
+        map(sub, later, earlier),
+        (timestamps[j] - timestamps[j + 1] for j in dropped),
+    ))
+    kept = last - start - len(dropped)
+    integral.add_totals(kept_uj / UJ_PER_J, seconds, kept, len(dropped))
+
+
 def power_from_readings(
     first: EnergyCounterReading, second: EnergyCounterReading
 ) -> PowerSample | None:
@@ -308,6 +355,13 @@ class EnergyIntegral:
         self.seconds += seconds
         self.pairs += 1
 
+    def add_totals(self, joules: float, seconds: float, pairs: int, dropped: int) -> None:
+        """Add pairs already integrated elsewhere (see `fold_columns`)."""
+        self.joules += joules
+        self.seconds += seconds
+        self.pairs += pairs
+        self.dropped += dropped
+
     def samples(self) -> list[PowerSample]:
         """The integral as one sample (watts = joules / seconds), or none."""
         if not self.pairs:
@@ -320,13 +374,20 @@ class SamplingSession:
 
     For a live source the loop sleeps `sample_interval_s` between instants
     and takes one final instant when stopped, so short-lived processes still
-    get a trailing partial sample.  For a trace source the loop consumes the
-    whole trace immediately (virtual time needs no sleeping).  Instants are
-    folded into an `EnergyIntegral` as they arrive; `pairs` and `dropped`
-    count the pairs it kept and dropped.
+    get a trailing partial sample; instants are folded into an
+    `EnergyIntegral` as they arrive.  A trace source runs in virtual time:
+    the thread folds all of its instants not yet served into the integral
+    at once (`TraceSource.fold_into`), with no per-instant loop.  `pairs`
+    and `dropped` count the pairs kept and dropped.
+
+    GPU power is polled in wall-clock time, so it cannot price a replayed
+    trace: a virtual-time source with `gpu_enabled` raises ValueError.
     """
 
     def __init__(self, source, config: MeterConfig):
+        if source.virtual_time and config.gpu_enabled:
+            raise ValueError("GPU power is polled in wall-clock time; "
+                             "it cannot be added to a replayed trace")
         self._source = source
         self._config = config
         self._stop = threading.Event()
@@ -363,8 +424,7 @@ class SamplingSession:
 
     def _run(self) -> None:
         if self._source.virtual_time:
-            while self._poll_once():
-                pass
+            self._source.fold_into(self._integral)
             return
         self._poll_once()
         while not self._stop.wait(self._config.sample_interval_s):
@@ -423,7 +483,7 @@ def summarize(
     if not process:
         raise EmptyProcessSamples(
             "process exited before one full sampling interval; "
-            "nothing to report (try a smaller --interval)"
+            "nothing to report (try a smaller --sample-interval)"
         )
     baseline_watts = _mean_watts(baseline) if baseline else 0.0
     total_watts = _mean_watts(process)

@@ -7,8 +7,9 @@ An optional header row is tolerated.
 
 A trace is parsed in one pass into compact columns: one array of
 timestamps, and per domain one array of counter values and one of ranges.
-An instant is rebuilt only when it is served, so a replay holds a few dozen
-bytes per instant rather than one object per reading.
+An instant is rebuilt only when `next_instant` serves it; a replay session
+instead folds the columns into the energy integral in one pass
+(`fold_into`), so it builds no per-instant object at all.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from array import array
 from collections.abc import Iterable, Iterator
 
-from .meter import EnergyCounterReading
+from .meter import EnergyCounterReading, EnergyIntegral, fold_columns
 
 # one instant as the parser yields it: timestamp, {domain: (energy, range)}
 _Group = tuple[float, dict[str, tuple[int, int]]]
@@ -33,8 +34,10 @@ class TraceSource:
     """Drop-in counter source that serves pre-recorded instants.
 
     Runs in virtual time: `next_instant` returns the next recorded snapshot
-    immediately and None once the trace is exhausted.  `span_s` is the time
-    covered by the recording and stands in for wall-clock duration.
+    immediately and None once the trace is exhausted, and `fold_into`
+    integrates every snapshot not yet served in one pass over the columns.
+    `span_s` is the time covered by the recording and stands in for
+    wall-clock duration.
     """
 
     virtual_time = True
@@ -107,6 +110,13 @@ class TraceSource:
             domain: EnergyCounterReading(domain, energies[i], ranges[i], ts)
             for domain, energies, ranges in self._columns
         }
+
+    def fold_into(self, integral: EnergyIntegral) -> None:
+        """Fold the pairs of every instant not yet served into `integral`
+        (see `fold_columns`); the trace is exhausted afterwards."""
+        energies = [column for _, column, _ in self._columns]
+        fold_columns(integral, self._timestamps, energies, self._cursor)
+        self._cursor = len(self._timestamps)
 
 
 def _instants(rows: Iterable[list[str]]) -> Iterator[_Group]:

@@ -83,6 +83,17 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
 
+    def test_every_pair_dropped_names_the_fall(self, tmp_path):
+        trace = tmp_path / "fall.csv"
+        trace.write_text("0,pkg-0,500,1000\n1,pkg-0,100,1000\n")
+        proc = measured_run(str(trace), child=("sh", "-c", "exit 3"))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "carbonrun: error: every counter pair (1) was dropped: a counter fell "
+            "between reads (wrap or reset); nothing to report\n"
+        )
+
     @pytest.mark.parametrize(
         "payload", [text.encode() for text in MALFORMED_TRACES] + [NON_UTF8_TRACE]
     )

@@ -10,6 +10,7 @@ from carbonrun import cli, meter
 from carbonrun.meter import (
     EmptyProcessSamples,
     EnergyCounterReading,
+    EnergyIntegral,
     MeterConfig,
     NoPowercapInterface,
     PowerSample,
@@ -237,7 +238,7 @@ class TestSummarize:
         assert not summary.negative_clamped
 
     def test_empty_process_is_an_error(self):
-        with pytest.raises(EmptyProcessSamples):
+        with pytest.raises(EmptyProcessSamples, match="--sample-interval"):
             summarize([], [], 10.0, MeterConfig())
 
     def test_non_positive_duration(self):
@@ -314,6 +315,68 @@ class TestSamplingSession:
             [], samples, source.span_s, MeterConfig(psu_efficiency=1.0)
         )
         assert summary.measured_kwh * 3.6e6 == pytest.approx(15.0)
+
+    def test_pair_with_one_falling_domain_is_dropped_whole(self):
+        # pkg-1 falls over the 2 s pair (1, 3) while pkg-0 advances: the whole
+        # pair goes, and neither its joules nor its seconds are counted
+        rows = [f"{t},{d},{e},10000000000" for t, pkg0, pkg1 in
+                [(0, 0, 900), (1, 4_000_000, 1_000_900), (3, 12_000_000, 100),
+                 (4, 16_000_000, 1_000_100)]
+                for d, e in (("pkg-0", pkg0), ("pkg-1", pkg1))]
+        source = TraceSource.from_csv("\n".join(rows))
+        session = meter.SamplingSession(source, MeterConfig())
+        session.start()
+        [sample] = session.stop()
+        assert (session.pairs, session.dropped) == (2, 1)
+        assert sample.interval_s == 2.0
+        assert sample.watts == 5.0  # (4 + 1) J per second over 2 s
+        assert source.next_instant() is None
+
+    def test_fold_rejects_time_that_does_not_increase(self):
+        source = TraceSource([{"pkg-0": reading(0, 1.0)}, {"pkg-0": reading(10, 1.0)}])
+        with pytest.raises(ValueError, match="increasing time order"):
+            source.fold_into(EnergyIntegral())
+
+    def test_gpu_polling_on_a_replayed_trace_is_rejected(self):
+        source = TraceSource.from_csv(constant_trace(10.0, 3))
+        with pytest.raises(ValueError, match="wall-clock"):
+            meter.SamplingSession(source, MeterConfig(gpu_enabled=True))
+
+    @given(
+        domains=st.integers(min_value=1, max_value=3),
+        first_ts=st.floats(min_value=0.0, max_value=1e5),
+        steps=st.lists(
+            st.tuples(
+                st.floats(min_value=1e-3, max_value=5.0),
+                st.lists(st.integers(min_value=-10**7, max_value=10**8),
+                         min_size=3, max_size=3),
+            ),
+            min_size=1, max_size=40,
+        ),
+        served=st.integers(min_value=0, max_value=42),
+    )
+    def test_column_fold_matches_per_instant_loop(self, domains, first_ts, steps, served):
+        ts, counters = first_ts, [10**12] * domains
+        rows = [f"{ts!r},pkg-{d},{counters[d]},{2**62}" for d in range(domains)]
+        for interval, deltas in steps:
+            ts += interval
+            counters = [c + delta for c, delta in zip(counters, deltas)]
+            rows += [f"{ts!r},pkg-{d},{counters[d]},{2**62}" for d in range(domains)]
+        text = "\n".join(rows)
+
+        folded, looped = EnergyIntegral(), EnergyIntegral()
+        bulk, stepped = TraceSource.from_csv(text), TraceSource.from_csv(text)
+        for source in (bulk, stepped):
+            for _ in range(served):
+                source.next_instant()
+        bulk.fold_into(folded)
+        for instant in iter(stepped.next_instant, None):
+            looped.add(instant)
+
+        assert bulk.next_instant() is None
+        assert (folded.pairs, folded.dropped) == (looped.pairs, looped.dropped)
+        assert math.isclose(folded.joules, looped.joules, rel_tol=1e-12)
+        assert math.isclose(folded.seconds, looped.seconds, rel_tol=1e-12)
 
     def test_replay_memory_does_not_grow_with_trace_length(self):
         def session_peak_bytes(instants):
