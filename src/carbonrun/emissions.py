@@ -87,15 +87,10 @@ class Equivalents:
 
 @dataclass(frozen=True)
 class ComparisonSet:
-    """Same energy priced at a group's lowest/median/highest regions.
-
-    `local` carries the resolved region's own cost so charts can overlay it
-    against the group's range.
-    """
+    """Same energy priced at a group's lowest/median/highest regions."""
 
     group: RegionGroup
     entries: tuple[tuple[RegionRecord, float], ...]  # low, median, high
-    local: tuple[RegionRecord, float] | None = None
 
 
 def emissions_for(
@@ -128,26 +123,20 @@ def equivalents_for(kg_co2: float, factors: EquivalencyFactors) -> Equivalents:
 def comparison_sets(
     kwh: float,
     snapshot: DatasetSnapshot,
-    local_region: RegionRecord | None = None,
+    region: RegionRecord | None = None,
 ) -> list[ComparisonSet]:
     """Rank the measured energy against every group's extremes.
 
     One set per group (US, Europe, global), each holding the lowest, median
     and highest intensity member with the CO2 the same kWh would cost there.
-    When `local_region` is given each set also carries that region's own
-    cost so renderers can overlay it.
+    The sets do not depend on the resolved `region`; it is accepted only so
+    that callers passing it positionally keep working.
     """
-    local = None
-    if local_region is not None:
-        local = (
-            local_region,
-            emissions_for(kwh, local_region, snapshot.intensities).kg_co2,
-        )
     sets = []
     for group in (RegionGroup.US, RegionGroup.EUROPE, RegionGroup.GLOBAL):
         entries = tuple(
             (rec, emissions_for(kwh, rec, snapshot.intensities).kg_co2)
             for rec in snapshot.extremes(group)
         )
-        sets.append(ComparisonSet(group=group, entries=entries, local=local))
+        sets.append(ComparisonSet(group=group, entries=entries))
     return sets

@@ -115,10 +115,26 @@ class MeasurementSummary:
     negative_clamped: bool = False
 
 
+# sysfs serves an attribute in at most one page
+_SYSFS_PAGE = 4096
+
+
 def _read_int(path: str) -> int:
+    """The integer a counter file holds, read with one open/read/close.
+
+    The file is reopened on every read instead of held open and re-read
+    with pread: a writer may replace it atomically (rename over it, as the
+    synthetic trees in the tests and the benchmark do), and a held
+    descriptor would keep reading the replaced inode's stale value forever.
+    Raw `os` calls skip the buffered text layers `open()` builds per call,
+    which cost more than the syscalls on the sampler's hot path.
+    """
     try:
-        with open(path) as fh:
-            return int(fh.read().strip())
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            return int(os.read(fd, _SYSFS_PAGE))
+        finally:
+            os.close(fd)
     except (OSError, ValueError) as exc:
         raise ReadFailure(path, exc) from None
 
@@ -380,6 +396,14 @@ class SamplingSession:
     at once (`TraceSource.fold_into`), with no per-instant loop.  `pairs`
     and `dropped` count the pairs kept and dropped.
 
+    The sampler's CPU lands in the counters it reads, so each tick is kept
+    cheap.  The stop gate is a plain lock the session holds until `stop()`
+    releases it: the loop's `acquire(timeout=interval)` is one C call per
+    tick, where `Event.wait` runs `Condition.wait` in Python and allocates
+    a waiter lock every time.  A counter that turns unreadable mid-run
+    (`ReadFailure`) stops the polling, and `stop()` raises it rather than
+    returning a partial integral.
+
     GPU power is polled in wall-clock time, so it cannot price a replayed
     trace: a virtual-time source with `gpu_enabled` raises ValueError.
     """
@@ -390,7 +414,10 @@ class SamplingSession:
                              "it cannot be added to a replayed trace")
         self._source = source
         self._config = config
-        self._stop = threading.Event()
+        self._gate = threading.Lock()
+        self._gate.acquire()
+        self._stopped = False
+        self._failure: ReadFailure | None = None
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._integral = EnergyIntegral()
 
@@ -406,9 +433,16 @@ class SamplingSession:
         self._thread.start()
 
     def stop(self) -> list[PowerSample]:
-        """Stop sampling; return the integrated sample (empty if no pair was kept)."""
-        self._stop.set()
+        """Stop sampling; return the integrated sample (empty if no pair was kept).
+
+        Raises the `ReadFailure` that stopped the sampler early, if any.
+        """
+        if not self._stopped:
+            self._stopped = True
+            self._gate.release()
         self._thread.join()
+        if self._failure is not None:
+            raise self._failure
         return self._integral.samples()
 
     def _poll_once(self) -> bool:
@@ -426,11 +460,16 @@ class SamplingSession:
         if self._source.virtual_time:
             self._source.fold_into(self._integral)
             return
-        self._poll_once()
-        while not self._stop.wait(self._config.sample_interval_s):
-            if not self._poll_once():
-                return
-        self._poll_once()  # trailing read covers the last partial interval
+        interval = self._config.sample_interval_s
+        stopped = self._gate.acquire
+        try:
+            self._poll_once()
+            while not stopped(timeout=interval):
+                if not self._poll_once():
+                    return
+            self._poll_once()  # trailing read covers the last partial interval
+        except ReadFailure as exc:
+            self._failure = exc
 
 
 def collect_baseline(source, config: MeterConfig) -> list[PowerSample]:

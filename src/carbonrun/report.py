@@ -134,7 +134,7 @@ def build_report(
     region = resolution.region
     result = emissions_for(summary.adjusted_kwh, region, snapshot.intensities)
     panels = []
-    for cset in comparison_sets(summary.adjusted_kwh, snapshot, region):
+    for cset in comparison_sets(summary.adjusted_kwh, snapshot):
         rows = tuple(
             ComparisonRow(
                 rank=rank,

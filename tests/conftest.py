@@ -1,3 +1,4 @@
+import gc
 import os
 
 import pytest
@@ -56,3 +57,11 @@ def child_pythonpath():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
         yield
+
+
+@pytest.fixture(autouse=True)
+def unfreeze_heap():
+    """`carbonrun run` freezes the heap right before it exits; undo that after
+    an in-process run so the rest of the session's garbage is still collected."""
+    yield
+    gc.unfreeze()

@@ -1,4 +1,6 @@
 import csv
+import functools
+import gc
 import json
 import os
 import signal
@@ -7,6 +9,9 @@ import sys
 import time
 
 import pytest
+from click.testing import CliRunner
+
+from carbonrun import cli
 
 from conftest import constant_trace, short_tail_trace
 from test_traces import MALFORMED_TRACES, NON_UTF8_TRACE
@@ -193,6 +198,33 @@ class TestMeasurement:
         stdout, stderr = proc.communicate(timeout=15)
         assert proc.returncode != 0  # child died by signal, not success
         assert "Energy Usage Report" in stderr
+
+
+class TestExitFreeze:
+    def test_heap_frozen_after_the_report_with_the_same_bytes(
+            self, trace_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "build_report", functools.partial(
+            cli.build_report, generated_at="2019-11-20T00:00:00Z"))
+        freeze = gc.freeze
+
+        def run(out):
+            result = CliRunner().invoke(cli.main, [
+                "run", "--trace", trace_file, "--offline", "--format", "html",
+                "--out", str(out), "--", "true"])
+            assert result.exit_code == 0, result.output
+            return out.read_bytes()
+
+        with monkeypatch.context() as mp:
+            mp.setattr(gc, "freeze", lambda: None)
+            unfrozen = run(tmp_path / "unfrozen.html")
+        assert gc.get_freeze_count() == 0
+
+        out = tmp_path / "frozen.html"
+        report_written = []
+        monkeypatch.setattr(gc, "freeze", lambda: (report_written.append(out.exists()), freeze()))
+        assert run(out) == unfrozen
+        assert report_written == [True]
+        assert gc.get_freeze_count() > 0
 
 
 class TestRegionsCommand:

@@ -172,14 +172,3 @@ class TestComparisonSets:
         for cset in comparison_sets(2.0, snapshot):
             for record, kg in cset.entries:
                 assert kg == pytest.approx(emissions_for(2.0, record, snapshot.intensities).kg_co2)
-
-    def test_local_region_carried_for_overlay(self, snapshot):
-        wyoming = snapshot.lookup("wyoming")
-        expected = emissions_for(2.0, wyoming, snapshot.intensities).kg_co2
-        for cset in comparison_sets(2.0, snapshot, wyoming):
-            record, kg = cset.local
-            assert record.id == "us-wy"
-            assert kg == pytest.approx(expected)
-
-    def test_local_defaults_to_none(self, snapshot):
-        assert all(c.local is None for c in comparison_sets(1.0, snapshot))

@@ -1,6 +1,8 @@
 import math
 import os
 import stat
+import threading
+import time
 import tracemalloc
 
 import pytest
@@ -21,6 +23,7 @@ from carbonrun.meter import (
     read_counter,
     read_gpu_power,
     summarize,
+    _read_int,
 )
 from carbonrun.traces import TraceSource
 
@@ -133,6 +136,24 @@ class TestSysfsReads:
         with pytest.raises(ReadFailure):
             read_counter(str(domain))
 
+    def test_empty_counter_file_is_read_failure(self, tmp_path):
+        path = tmp_path / "energy_uj"
+        path.write_bytes(b"")
+        with pytest.raises(ReadFailure) as err:
+            _read_int(str(path))
+        assert str(path) in str(err.value)
+
+    def test_reread_sees_a_file_replaced_atomically(self, tmp_path):
+        # writers rename a new file over the counter; a read must reopen the
+        # path, not re-read a descriptor on the replaced inode
+        path = tmp_path / "energy_uj"
+        path.write_text("100\n")
+        assert _read_int(str(path)) == 100
+        scratch = tmp_path / "energy_uj.tmp"
+        scratch.write_text("250\n")
+        os.replace(scratch, path)
+        assert _read_int(str(path)) == 250
+
     def test_source_reads_max_range_once(self, tmp_path):
         root = tmp_path / "intel-rapl"
         domain = self.make_domain(root, "intel-rapl:0", "package-0", energy=42)
@@ -149,6 +170,22 @@ class TestSysfsReads:
         code, doc = cli.run_measured(["true"], offline=True)
         assert (code, doc) == (2, None)
         assert str(domain / "max_energy_range_uj") in capsys.readouterr().err
+
+    def test_counter_unreadable_mid_run_stops_with_path(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "intel-rapl"
+        self.make_domain(root, "intel-rapl:0", "package-0")
+        domain = self.make_domain(root, "intel-rapl:1", "package-1")
+        counter = domain / "energy_uj"
+        thread_errors = []
+        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+        monkeypatch.setattr(cli, "PowercapSource", lambda: meter.PowercapSource(str(root)))
+        child = ["sh", "-c", f"sleep 0.15; rm '{counter}'; sleep 0.15; exit 3"]
+        code, doc = cli.run_measured(
+            child, offline=True, no_baseline=True, sample_interval=0.01)
+        assert (code, doc) == (3, None)
+        err = capsys.readouterr().err
+        assert f"carbonrun: error: sampling stopped: cannot read {counter}" in err
+        assert thread_errors == []
 
 
 class TestGpu:
@@ -431,3 +468,58 @@ class TestSamplingSession:
 
         assert session.pairs >= 5
         assert 0.5 < samples[0].watts < 4.0
+
+
+def make_package_tree(tmp_path, packages=1):
+    """A powercap tree of idle package domains; returns (root, domain dirs)."""
+    root = tmp_path / "intel-rapl"
+    domains = []
+    for n in range(packages):
+        domain = root / f"intel-rapl:{n}"
+        domain.mkdir(parents=True)
+        (domain / "name").write_text(f"package-{n}\n")
+        (domain / "max_energy_range_uj").write_text("1000000000000\n")
+        (domain / "energy_uj").write_text("0\n")
+        domains.append(domain)
+    return root, domains
+
+
+class TestSessionStop:
+    def test_stop_does_not_wait_out_a_long_interval(self, tmp_path):
+        root, _ = make_package_tree(tmp_path)
+        session = meter.SamplingSession(
+            meter.PowercapSource(str(root)), MeterConfig(sample_interval_s=0.5))
+        session.start()
+        time.sleep(0.05)
+        started = time.monotonic()
+        samples = session.stop()
+        assert time.monotonic() - started < 0.25
+        assert session.pairs == 1  # the first read and the trailing one
+        assert samples[0].watts == 0.0
+
+    def test_stop_after_the_thread_exited_and_twice(self):
+        source = TraceSource.from_csv(constant_trace(10.0, 5))
+        session = meter.SamplingSession(source, MeterConfig(baseline_duration_s=0.0))
+        session.start()
+        session._thread.join(timeout=5)
+        assert not session._thread.is_alive()
+        first = session.stop()
+        assert session.stop() == first
+        assert first[0].watts == pytest.approx(10.0)
+
+    def test_counter_vanishing_mid_run_is_raised_by_stop(self, tmp_path, monkeypatch):
+        root, domains = make_package_tree(tmp_path, packages=2)
+        counter = domains[1] / "energy_uj"
+        thread_errors = []
+        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+        session = meter.SamplingSession(
+            meter.PowercapSource(str(root)), MeterConfig(sample_interval_s=0.01))
+        session.start()
+        time.sleep(0.05)
+        counter.unlink()
+        time.sleep(0.05)
+        for _ in range(2):
+            with pytest.raises(ReadFailure) as err:
+                session.stop()
+            assert err.value.path == str(counter)
+        assert thread_errors == []
