@@ -178,10 +178,6 @@ CANONICAL_INTENSITIES = FuelIntensities(
 )
 
 
-def canonical_intensities() -> FuelIntensities:
-    return CANONICAL_INTENSITIES
-
-
 @dataclass(frozen=True)
 class RegionRecord:
     id: str
@@ -297,32 +293,6 @@ def parse_egrid(text: str) -> list[StateRow]:
     return out
 
 
-def serialize_egrid(rows: list[StateRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(EGRID_HEADER)
-    for row in rows:
-        rec, mix = row.record, row.record.mix
-        writer.writerow(
-            [
-                rec.id,
-                rec.display_name,
-                _fmt(mix.coal),
-                _fmt(mix.oil),
-                _fmt(mix.natural_gas),
-                _fmt(mix.low_carbon),
-                _fmt(rec.direct_rate_lbs_per_mwh),
-                _fmt(row.generation_mwh["coal"]),
-                _fmt(row.generation_mwh["oil"]),
-                _fmt(row.generation_mwh["natural_gas"]),
-                _fmt(row.emissions_kt["coal"]),
-                _fmt(row.emissions_kt["oil"]),
-                _fmt(row.emissions_kt["natural_gas"]),
-            ]
-        )
-    return buf.getvalue()
-
-
 def parse_eia(text: str) -> list[RegionRecord]:
     """Parse the international snapshot CSV into country records.
 
@@ -381,32 +351,6 @@ def parse_eia(text: str) -> list[RegionRecord]:
     if not out:
         raise SchemaError("country snapshot has a header but no rows")
     return out
-
-
-def serialize_eia(records: list[RegionRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(EIA_HEADER)
-    for rec in records:
-        writer.writerow(
-            [
-                rec.id,
-                rec.display_name,
-                "true" if rec.group is RegionGroup.EUROPE else "false",
-                _fmt(rec.mix.coal),
-                _fmt(rec.mix.oil),
-                _fmt(rec.mix.natural_gas),
-                _fmt(rec.mix.low_carbon),
-            ]
-        )
-    return buf.getvalue()
-
-
-def _fmt(value: float) -> str:
-    # repr of a float round-trips exactly; ints stay ints for readability
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(float(value))
 
 
 def derive_fuel_intensity(

@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st, assume
 
 from carbonrun.griddata import (
+    CANONICAL_INTENSITIES,
     KG_PER_LB,
     RegionGroup,
-    canonical_intensities,
     derive_fuel_intensity,
     parse_egrid,
 )
@@ -79,7 +79,7 @@ def test_01_unit_conversion_anchor(capsys):
 def test_02_world_mix_consistency(capsys, snapshot):
     with criterion(capsys, 2, "world mix x canonical intensities = 725.2, within 1.0 of 726"):
         world = snapshot.regions["world-average"]
-        weighted = world.mix.weighted_kg_per_mwh(canonical_intensities())
+        weighted = world.mix.weighted_kg_per_mwh(CANONICAL_INTENSITIES)
         assert abs(weighted - 725.2) <= 0.1
         assert abs(weighted - 726.0) <= 1.0
 

@@ -12,12 +12,12 @@ from carbonrun.emissions import (
     load_equivalency_factors,
 )
 from carbonrun.griddata import (
+    CANONICAL_INTENSITIES,
     KG_PER_LB,
     EnergyMix,
     RegionGroup,
     RegionKind,
     RegionRecord,
-    canonical_intensities,
     effective_intensity_kg_per_kwh,
 )
 
@@ -105,7 +105,7 @@ class TestEmissionsFor:
         # a region whose direct rate was produced from its own mix must
         # price energy the same through either route
         with_mix = mix_region(0.5, 0.2, 0.1, 0.2)
-        weighted = with_mix.mix.weighted_kg_per_mwh(canonical_intensities())
+        weighted = with_mix.mix.weighted_kg_per_mwh(CANONICAL_INTENSITIES)
         with_rate = mix_region(0.5, 0.2, 0.1, 0.2, rate=weighted / KG_PER_LB)
         via_mix = effective_intensity_kg_per_kwh(with_mix)
         via_rate = effective_intensity_kg_per_kwh(with_rate)

@@ -1,7 +1,11 @@
+import csv
+import io
+
 import pytest
 
 from carbonrun import griddata
 from carbonrun.griddata import (
+    CANONICAL_INTENSITIES,
     EGRID_HEADER,
     EIA_HEADER,
     DatasetSnapshot,
@@ -13,13 +17,10 @@ from carbonrun.griddata import (
     SchemaError,
     UnknownRegion,
     ZeroGeneration,
-    canonical_intensities,
     derive_fuel_intensity,
     effective_intensity_kg_per_kwh,
     parse_egrid,
     parse_eia,
-    serialize_egrid,
-    serialize_eia,
 )
 
 US_HEADER_LINE = ",".join(EGRID_HEADER)
@@ -31,6 +32,58 @@ def us_csv(*rows):
 
 def intl_csv(*rows):
     return INTL_HEADER_LINE + "\n" + "\n".join(rows) + "\n"
+
+
+def serialize_egrid(rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(EGRID_HEADER)
+    for row in rows:
+        rec, mix = row.record, row.record.mix
+        writer.writerow(
+            [
+                rec.id,
+                rec.display_name,
+                _fmt(mix.coal),
+                _fmt(mix.oil),
+                _fmt(mix.natural_gas),
+                _fmt(mix.low_carbon),
+                _fmt(rec.direct_rate_lbs_per_mwh),
+                _fmt(row.generation_mwh["coal"]),
+                _fmt(row.generation_mwh["oil"]),
+                _fmt(row.generation_mwh["natural_gas"]),
+                _fmt(row.emissions_kt["coal"]),
+                _fmt(row.emissions_kt["oil"]),
+                _fmt(row.emissions_kt["natural_gas"]),
+            ]
+        )
+    return buf.getvalue()
+
+
+def serialize_eia(records):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(EIA_HEADER)
+    for rec in records:
+        writer.writerow(
+            [
+                rec.id,
+                rec.display_name,
+                "true" if rec.group is RegionGroup.EUROPE else "false",
+                _fmt(rec.mix.coal),
+                _fmt(rec.mix.oil),
+                _fmt(rec.mix.natural_gas),
+                _fmt(rec.mix.low_carbon),
+            ]
+        )
+    return buf.getvalue()
+
+
+def _fmt(value):
+    # repr of a float round-trips exactly; ints stay ints for readability
+    if value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    return repr(float(value))
 
 
 GOOD_STATE = "us-zz,Testonia,0.5,0.1,0.2,0.2,1000.0,500000,100000,200000,500.0,80.0,150.0"
@@ -165,7 +218,7 @@ class TestDeriveFuelIntensity:
             derive_fuel_intensity({"coal": 0.0}, {"coal": 5.0})
 
     def test_canonical_constants(self):
-        c = canonical_intensities()
+        c = CANONICAL_INTENSITIES
         assert (c.coal, c.oil, c.natural_gas, c.low_carbon) == (996.0, 817.0, 744.0, 0.0)
 
 

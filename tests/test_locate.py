@@ -38,6 +38,7 @@ def geo_server():
     GeoHandler.hits = 0
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
     thread.join()
 
 

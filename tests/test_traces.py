@@ -1,11 +1,17 @@
 import csv
+import os
+import tempfile
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from carbonrun import traces
 from carbonrun.meter import EnergyCounterReading
 from carbonrun.traces import TraceError, TraceSource, parse_trace
 
 from conftest import MAX_RANGE_UJ, constant_trace
+from trace_reference import reference_parse
 
 
 def drain(source):
@@ -85,3 +91,143 @@ def test_instants_round_trip_through_constructor():
     instants = parse_trace(text)
     assert drain(TraceSource(instants)) == instants
     assert instants[2]["b"] == EnergyCounterReading("b", 6_000_000, MAX_RANGE_UJ, 2.0)
+
+
+def test_instants_may_list_domains_in_any_order():
+    text = "0,a,0,100\n0,b,0,100\n1,b,7,100\n1,a,5,100\n"
+    instants = parse_trace(text)
+    assert (instants[1]["a"].energy_uj, instants[1]["b"].energy_uj) == (5, 7)
+    assert instants == reference_parse(text)
+
+
+def test_line_numbers_count_records_after_a_quoted_line_break():
+    text = '0,"pkg\n-0",0,100\n1,"pkg\n-0",5,100\n2,pkg-0,x,100\n'
+    with pytest.raises(TraceError, match="^line 3: invalid literal"):
+        parse_trace(text)
+
+
+def test_lone_carriage_returns_end_lines():
+    assert parse_trace("0,pkg-0,0,100\r1,pkg-0,5,100\r") == reference_parse(
+        "0,pkg-0,0,100\r1,pkg-0,5,100\r")
+
+
+# generated traces: their domains, and the defects of MALFORMED_TRACES plus a dropped row
+DOMAINS = ("pkg-0", "pkg-1", "dram")
+DEFECTS = ("fields", "number", "decrease", "single", "repeat", "domain", "drop",
+           "nan", "inf", "negative", "beyond_64_bits")
+
+
+def _apply(defect, rows, at):
+    """Give `rows` (lists of field texts) one defect of kind `defect` at row `at`."""
+    row = rows[at]
+    if defect == "fields":
+        rows[at] = row[:3] if at % 2 else row + ["7"]
+    elif defect == "number":
+        row[(0, 2, 3)[at % 3]] = ("zero", "1.2.3", "")[at % 3]
+    elif defect == "decrease":
+        row[0] = "-1"  # before every instant
+    elif defect == "single":  # only the first instant is left
+        first = float(rows[0][0])
+        del rows[next((i for i, r in enumerate(rows) if float(r[0]) != first), None):]
+    elif defect == "repeat":
+        rows.insert(at, list(row))
+    elif defect == "domain":
+        row[1] = "gpu"
+    elif defect == "drop":
+        del rows[at]
+    elif defect in ("nan", "inf"):
+        row[0] = defect if at % 2 else f"-{defect}"
+    elif defect == "negative":
+        row[2] = "-5"
+    else:
+        row[2 + at % 2] = str(2**63 + at)
+
+
+@st.composite
+def trace_texts(draw):
+    """CSV text of a random trace, and the number of defects it was given."""
+    width = draw(st.integers(1, len(DOMAINS)))
+    stamps = draw(st.lists(st.integers(1, 500), min_size=2, max_size=6))
+    ranges = draw(st.lists(st.integers(1, 10**12), min_size=width, max_size=width))
+    rows, t = [], draw(st.integers(0, 1000))
+    for step in stamps:
+        t += step
+        order = draw(st.permutations(DOMAINS[:width]))
+        for domain in order:
+            stamp = draw(st.sampled_from([f"{t / 100}", f"{t}e-2", f" {t / 100:.4f}"]))
+            energy = draw(st.integers(0, 10**13))
+            rows.append([stamp, domain, str(energy), str(ranges[DOMAINS.index(domain)])])
+    defects = draw(st.lists(st.tuples(st.sampled_from(DEFECTS), st.integers(0, 10**6)),
+                            max_size=2))
+    # a single instant is cut from a whole trace, and fields go last
+    for defect, at in sorted(defects, key=lambda d: {"single": 0, "fields": 2}.get(d[0], 1)):
+        if rows:
+            _apply(defect, rows, at % len(rows))
+    lines = ["timestamp_s,domain_id,energy_uj,max_range_uj"] if draw(st.booleans()) else []
+    styles = ["plain", "plain", "padded"]
+    if draw(st.booleans()):  # csv.reader tokenises chunks holding quotes
+        styles += ["quoted", "quoted_break"]
+    for row in rows:
+        fields = []
+        for field in row:
+            style = draw(st.sampled_from(styles))
+            if style == "padded":
+                field = f" {field}\t"
+            elif style == "quoted":
+                field = f'"{field}"'
+            elif style == "quoted_break":
+                field = f'"{field}\n"'
+            fields.append(field)
+        lines.append(",".join(fields))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                            min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, len(defects)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except TraceError as exc:
+        return f"TraceError: {exc}"
+
+
+def _parse_file(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
+        return list(iter(TraceSource.from_file(path).next_instant, None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=trace_texts(), chunk_chars=st.sampled_from([16, 64, 32 * 1024]))
+def test_columnar_loader_agrees_with_row_by_row_reference(case, chunk_chars):
+    text, defects = case
+    expected = _outcome(reference_parse, text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traces, "_CHUNK_CHARS", chunk_chars)
+        for parse in (parse_trace, _parse_file):
+            got = _outcome(parse, text)
+            if defects <= 1 or not isinstance(expected, str):
+                assert got == expected
+            else:
+                assert isinstance(got, str), got
+
+
+def test_parse_memory_stays_near_the_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(constant_trace(10.0, 50_000))
+    tracemalloc.start()
+    try:
+        source = TraceSource.from_file(str(path))
+        columns, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert source.span_s == pytest.approx(50_000)
+    # the file is 2.5 MB: reading or splitting it whole would show here
+    assert peak - columns <= 512 * 1024
