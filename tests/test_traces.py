@@ -111,6 +111,46 @@ def test_lone_carriage_returns_end_lines():
         "0,pkg-0,0,100\r1,pkg-0,5,100\r")
 
 
+def _batch_sizes(monkeypatch):
+    """Record the number of rows in each batch the loader converts."""
+    sizes = []
+    convert = traces._convert
+
+    def recording(fields, numbers):
+        sizes.append(len(numbers))
+        return convert(fields, numbers)
+
+    monkeypatch.setattr(traces, "_convert", recording)
+    return sizes
+
+
+def test_a_quoted_line_break_at_every_chunk_border_reads_one_record_on(monkeypatch):
+    # ten-character lines, two to a record, and two lines to a chunk: cut at
+    # fixed places, every chunk after the header would end inside a quote
+    records = [f'{t:06d},"d\n{d}",{t:04d},1\n' for t in range(200) for d in (0, 1)]
+    text = "timestamp\n" + "".join(records)
+    monkeypatch.setattr(traces, "_CHUNK_CHARS", 20)
+    sizes = _batch_sizes(monkeypatch)
+    assert parse_trace(text) == reference_parse(text)
+    assert len(sizes) == 400 and max(sizes) == 1
+
+
+def test_a_first_instant_longer_than_many_chunks(monkeypatch):
+    domains = [f"d{i}" for i in range(300)]
+    text = constant_trace(1.0, 2, domains=domains)
+    monkeypatch.setattr(traces, "_CHUNK_CHARS", 64)
+    sizes = _batch_sizes(monkeypatch)
+    assert parse_trace(text) == reference_parse(text)
+    assert len(sizes) > 30
+    with pytest.raises(TraceError, match=r"^line 300: domain d0 repeated at 0\.0$"):
+        parse_trace(text.replace("d299,", "d0,", 1))
+    # a repeat in a first instant that never ends fails before the rest is read
+    del sizes[:]
+    with pytest.raises(TraceError, match=r"^line 2: domain d0 repeated at 0\.0$"):
+        parse_trace("".join(f"0,{d},0,1\n" for d in ["d0"] + domains))
+    assert len(sizes) == 1
+
+
 # generated traces: their domains, and the defects of MALFORMED_TRACES plus a dropped row
 DOMAINS = ("pkg-0", "pkg-1", "dram")
 DEFECTS = ("fields", "number", "decrease", "single", "repeat", "domain", "drop",
