@@ -3,20 +3,20 @@
 The wrapper is transparent: the child inherits stdio, its stdout is never
 touched, and the wrapper exits with the child's exit code.  The report goes
 to stderr by default (or a file via --out) so pipelines keep working.
-Wrapper-own failures use exit 2 (environment problems) and 127 (the child
-could not be spawned).
+Wrapper-own failures use exit 2 (usage and environment problems) and 127
+(the child could not be spawned).
 """
 
 from __future__ import annotations
 
+import argparse
 import gc
+import os
 import signal
 import subprocess
 import sys
 import time
 from typing import NoReturn
-
-import click
 
 from . import __version__
 from .bench import GuardExceeded, WorkloadShape, WorkloadSpec, run_workload
@@ -47,68 +47,23 @@ EXIT_SPAWN = 127
 
 
 def _fail(message: str) -> int:
-    click.echo(f"carbonrun: error: {message}", err=True)
+    print(f"carbonrun: error: {message}", file=sys.stderr)
     return EXIT_ENVIRONMENT
 
 
 def _exit(code: int) -> NoReturn:
     """Exit with `code` once the report is out, with nothing left to collect.
 
-    Importing the CLI leaves ~28k GC-tracked objects (click, requests,
-    dataclasses) that interpreter shutdown would scan in full collections,
-    tens of milliseconds after the child has exited.  Freezing them first
+    Importing the CLI leaves ~18k GC-tracked objects (11k of them in a bare
+    interpreter; the rest argparse, urllib, dataclasses and this package)
+    that interpreter shutdown would scan in full collections, milliseconds
+    after the child has exited.  Freezing them first
     skips that scan; atexit handlers and stdio flushing still run, which
     `os._exit` would skip.  Freezing any earlier would pin garbage that the
     run could otherwise reuse.
     """
     gc.freeze()
     sys.exit(code)
-
-
-measurement_options = [
-    click.option("--format", "fmt", type=click.Choice(["text", "json", "html"]),
-                 default="text", show_default=True, help="Report format."),
-    click.option("--out", type=click.Path(dir_okay=False, writable=True),
-                 help="Write the report to a file instead of a stream."),
-    click.option("--report-to", type=click.Choice(["stderr", "stdout"]),
-                 default="stderr", show_default=True,
-                 help="Stream for the report when --out is not given."),
-    click.option("--efficiency", type=float, default=0.8, show_default=True,
-                 help="Power supply efficiency in (0, 1]."),
-    click.option("--sample-interval", type=float, default=0.1, show_default=True,
-                 help="Seconds between energy counter reads."),
-    click.option("--baseline-duration", type=float, default=5.0, show_default=True,
-                 help="Seconds of idle sampling before the command starts."),
-    click.option("--no-baseline", is_flag=True,
-                 help="Skip the idle baseline phase (baseline wattage = 0)."),
-    click.option("--gpu", is_flag=True,
-                 help="Add GPU board power (needs nvidia-smi)."),
-    click.option("--trace", type=click.Path(exists=True, dir_okay=False),
-                 help="Replay a recorded counter trace instead of live sysfs reads."),
-    click.option("--location", help="Region name or id to price emissions in."),
-    click.option("--default-region", type=click.Choice(sorted(DEFAULT_CHOICES)),
-                 default="world", show_default=True,
-                 help="Aggregate to assume when no location can be resolved."),
-    click.option("--offline", is_flag=True, help="Never call the geolocation API."),
-    click.option("--us-data", type=click.Path(exists=True, dir_okay=False),
-                 help="Override the embedded US state snapshot CSV."),
-    click.option("--intl-data", type=click.Path(exists=True, dir_okay=False),
-                 help="Override the embedded country snapshot CSV."),
-    click.option("--equivalencies", type=click.Path(exists=True, dir_okay=False),
-                 help="Override the equivalency factor table."),
-]
-
-
-def _with_measurement_options(cmd):
-    for option in reversed(measurement_options):
-        cmd = option(cmd)
-    return cmd
-
-
-@click.group()
-@click.version_option(version=__version__, prog_name="carbonrun")
-def main():
-    """Measure a command's energy use and report its CO2 emissions."""
 
 
 def run_measured(argv: list[str], **opts) -> tuple[int, ReportDocument | None]:
@@ -169,7 +124,7 @@ def run_measured(argv: list[str], **opts) -> tuple[int, ReportDocument | None]:
     try:
         child = subprocess.Popen(argv)
     except (OSError, ValueError) as exc:
-        click.echo(f"carbonrun: cannot run {argv[0]!r}: {exc}", err=True)
+        print(f"carbonrun: cannot run {argv[0]!r}: {exc}", file=sys.stderr)
         return EXIT_SPAWN, None
 
     session = SamplingSession(source, config)
@@ -184,7 +139,7 @@ def run_measured(argv: list[str], **opts) -> tuple[int, ReportDocument | None]:
 
     previous = {
         sig: signal.signal(sig, forward)
-        for sig in (signal.SIGINT, signal.SIGTERM)
+        for sig in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP, signal.SIGQUIT)
     }
     try:
         returncode = child.wait()
@@ -198,7 +153,7 @@ def run_measured(argv: list[str], **opts) -> tuple[int, ReportDocument | None]:
     try:
         samples = session.stop()
     except ReadFailure as exc:
-        click.echo(f"carbonrun: error: sampling stopped: {exc}", err=True)
+        print(f"carbonrun: error: sampling stopped: {exc}", file=sys.stderr)
         return exit_code, None
     duration = source.span_s if trace_path else wall
 
@@ -208,7 +163,7 @@ def run_measured(argv: list[str], **opts) -> tuple[int, ReportDocument | None]:
         reason = exc if not session.dropped else (
             f"every counter pair ({session.dropped}) was dropped: a counter fell "
             "between reads (wrap or reset); nothing to report")
-        click.echo(f"carbonrun: error: {reason}", err=True)
+        print(f"carbonrun: error: {reason}", file=sys.stderr)
         return exit_code, None
 
     doc = build_report(
@@ -239,100 +194,213 @@ def _emit(doc: ReportDocument, fmt: str, out: str | None, report_to: str) -> Non
     stream.flush()
 
 
-@main.command("run", context_settings={"ignore_unknown_options": True})
-@_with_measurement_options
-@click.argument("command", nargs=-1, type=click.UNPROCESSED)
-def cmd_run(command, **opts):
-    """Run COMMAND under energy measurement.
+RUN_DESCRIPTION = """\
+Run COMMAND under energy measurement.
 
-    Everything after `--` is the child command line, untouched:
+Options go before COMMAND.  COMMAND and every argument after it, `--`
+included, are the child's command line, untouched; one `--` before COMMAND
+ends the options and is dropped:
 
-        carbonrun run --offline -- python train.py --epochs 3
-    """
-    argv = [arg for arg in command if arg != "--"] if "--" in command else list(command)
+    carbonrun run --offline -- python train.py --epochs 3
+"""
+
+BENCH_DESCRIPTION = """\
+Measure a synthetic SHAPE workload of size N.
+
+Shapes: linear (n units), quadratic (n^2), exp (2^n, n <= 30).
+"""
+
+
+def cmd_run(options: argparse.Namespace) -> int:
+    argv = options.command
+    if argv[:1] == ["--"]:
+        argv = argv[1:]
     if not argv:
-        raise click.UsageError("no command given; usage: carbonrun run [flags] -- CMD ...")
-    code, _ = run_measured(argv, **opts)
-    _exit(code)
+        return _fail("no command given; usage: carbonrun run [flags] -- CMD ...")
+    code, _ = run_measured(argv, **vars(options))
+    return code
 
 
-@main.command("regions")
-@click.option("--extremes", "extremes_group",
-              type=click.Choice([g.value for g in RegionGroup]),
-              help="Print only the lowest/median/highest regions of a group.")
-@click.option("--us-data", type=click.Path(exists=True, dir_okay=False))
-@click.option("--intl-data", type=click.Path(exists=True, dir_okay=False))
-def cmd_regions(extremes_group, us_data, intl_data):
-    """List known regions with their effective emission intensities."""
+def cmd_regions(options: argparse.Namespace) -> int:
     try:
-        snapshot = DatasetSnapshot.load(us_data, intl_data)
+        snapshot = DatasetSnapshot.load(options.us_data, options.intl_data)
     except (SchemaError, OSError) as exc:
-        sys.exit(_fail(str(exc)))
+        return _fail(str(exc))
     def intensity_label(region):
         kg_mwh = effective_intensity_kg_per_kwh(region, snapshot.intensities) * 1000
         return f"{kg_mwh:7.1f} kg/MWh"
 
-    if extremes_group:
-        group = RegionGroup(extremes_group)
+    if options.extremes_group:
+        group = RegionGroup(options.extremes_group)
         for rank, region in zip(("lowest", "median", "highest"),
                                 snapshot.extremes(group)):
-            click.echo(
+            print(
                 f"{rank:<8} {region.id:<14} {intensity_label(region)}  "
                 f"{region.display_name}"
             )
-        return
+        return 0
     for region_id in sorted(snapshot.regions):
         region = snapshot.regions[region_id]
-        click.echo(
+        print(
             f"{region.id:<14} {region.kind.value:<9} {intensity_label(region)}  "
             f"{region.display_name}"
         )
+    return 0
 
 
-@main.command("bench")
-@click.argument("shape", type=click.Choice([s.value for s in WorkloadShape]))
-@click.argument("n", type=int)
-@click.option("--unit-ops", type=int, default=None,
-              help="Additions per work unit (default 50,000,000).")
-@_with_measurement_options
-def cmd_bench(shape, n, unit_ops, **opts):
-    """Measure a synthetic SHAPE workload of size N.
+def _workload_spec(options: argparse.Namespace) -> WorkloadSpec:
+    kwargs = {"shape": WorkloadShape.parse(options.shape), "n": options.n}
+    if options.unit_ops is not None:
+        kwargs["unit_ops"] = options.unit_ops
+    return WorkloadSpec(**kwargs)
 
-    Shapes: linear (n units), quadratic (n^2), exp (2^n, n <= 30).
-    """
+
+def cmd_bench(options: argparse.Namespace) -> int:
     try:
-        spec_kwargs = {"shape": WorkloadShape.parse(shape), "n": n}
-        if unit_ops is not None:
-            spec_kwargs["unit_ops"] = unit_ops
-        spec = WorkloadSpec(**spec_kwargs)
+        spec = _workload_spec(options)
     except (GuardExceeded, ValueError) as exc:
-        sys.exit(_fail(str(exc)))
+        return _fail(str(exc))
     argv = [sys.executable, "-m", "carbonrun", "workload", spec.shape.value, str(spec.n),
             "--unit-ops", str(spec.unit_ops)]
-    code, doc = run_measured(argv, **opts)
+    code, doc = run_measured(argv, **vars(options))
     if doc is not None:
-        click.echo(
+        print(
             f"bench {spec.shape.value} n={spec.n}: "
             f"{doc.summary.kwh:.6g} kWh, {doc.summary.kg_co2:.2e} kg CO2, "
             f"{doc.readings.duration_s:.2f} s"
         )
-    _exit(code)
+    return code
 
 
-@main.command("workload", hidden=True)
-@click.argument("shape", type=click.Choice([s.value for s in WorkloadShape]))
-@click.argument("n", type=int)
-@click.option("--unit-ops", type=int, default=None)
-def cmd_workload(shape, n, unit_ops):
+def cmd_workload(options: argparse.Namespace) -> int:
     """Run a bench workload in-process (spawned by `bench`)."""
     try:
-        kwargs = {"shape": WorkloadShape.parse(shape), "n": n}
-        if unit_ops is not None:
-            kwargs["unit_ops"] = unit_ops
-        checksum = run_workload(WorkloadSpec(**kwargs))
+        checksum = run_workload(_workload_spec(options))
     except GuardExceeded as exc:
-        sys.exit(_fail(str(exc)))
-    click.echo(f"checksum {checksum}")
+        return _fail(str(exc))
+    print(f"checksum {checksum}")
+    return 0
+
+
+def _existing_file(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    return path
+
+
+def _output_file(path: str) -> str:
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    if os.path.exists(path) and not os.access(path, os.W_OK):
+        raise argparse.ArgumentTypeError(f"file {path!r} is not writable")
+    return path
+
+
+def _add_measurement_options(parser: argparse.ArgumentParser) -> None:
+    add = parser.add_argument
+    add("--format", dest="fmt", choices=["text", "json", "html"], default="text",
+        help="Report format (default: %(default)s).")
+    add("--out", type=_output_file, metavar="FILE",
+        help="Write the report to a file instead of a stream.")
+    add("--report-to", choices=["stderr", "stdout"], default="stderr",
+        help="Stream for the report when --out is not given (default: %(default)s).")
+    add("--efficiency", type=float, default=0.8, metavar="FLOAT",
+        help="Power supply efficiency in (0, 1] (default: %(default)s).")
+    add("--sample-interval", type=float, default=0.1, metavar="FLOAT",
+        help="Seconds between energy counter reads (default: %(default)s).")
+    add("--baseline-duration", type=float, default=5.0, metavar="FLOAT",
+        help="Seconds of idle sampling before the command starts (default: %(default)s).")
+    add("--no-baseline", action="store_true",
+        help="Skip the idle baseline phase (baseline wattage = 0).")
+    add("--gpu", action="store_true", help="Add GPU board power (needs nvidia-smi).")
+    add("--trace", type=_existing_file, metavar="FILE",
+        help="Replay a recorded counter trace instead of live sysfs reads.")
+    add("--location", metavar="TEXT", help="Region name or id to price emissions in.")
+    add("--default-region", choices=sorted(DEFAULT_CHOICES), default="world",
+        help="Aggregate to assume when no location can be resolved (default: %(default)s).")
+    add("--offline", action="store_true", help="Never call the geolocation API.")
+    _add_data_options(parser)
+    add("--equivalencies", type=_existing_file, metavar="FILE",
+        help="Override the equivalency factor table.")
+
+
+def _add_data_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--us-data", type=_existing_file, metavar="FILE",
+                        help="Override the embedded US state snapshot CSV.")
+    parser.add_argument("--intl-data", type=_existing_file, metavar="FILE",
+                        help="Override the embedded country snapshot CSV.")
+
+
+def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("shape", choices=[s.value for s in WorkloadShape], metavar="SHAPE")
+    parser.add_argument("n", type=int, metavar="N")
+    parser.add_argument("--unit-ops", type=int, metavar="INT",
+                        help="Additions per work unit (default 50,000,000).")
+
+
+def _parser(prog_name: str) -> argparse.ArgumentParser:
+    """The command line; each subcommand sets `handler`, which returns the exit code."""
+    def command(name, handler, description=None, **kwargs):
+        sub = commands.add_parser(
+            name, description=description, add_help=False, allow_abbrev=False,
+            formatter_class=argparse.RawDescriptionHelpFormatter, **kwargs)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        sub.set_defaults(handler=handler)
+        return sub
+
+    parser = argparse.ArgumentParser(
+        prog=prog_name, add_help=False, allow_abbrev=False,
+        description="Measure a command's energy use and report its CO2 emissions.")
+    parser.add_argument("--version", action="version", version=f"carbonrun, version {__version__}",
+                        help="Show the version and exit.")
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    # `workload` is left out of the listing: only `bench` spawns it
+    commands = parser.add_subparsers(
+        title="commands", metavar="{run,regions,bench}", required=True)
+
+    run = command("run", cmd_run, RUN_DESCRIPTION, help="Run COMMAND under energy measurement.")
+    _add_measurement_options(run)
+    run.add_argument("command", nargs=argparse.REMAINDER, metavar="COMMAND",
+                     help="The command line to measure.")
+
+    regions = command("regions", cmd_regions,
+                      help="List known regions with their effective emission intensities.")
+    regions.add_argument("--extremes", dest="extremes_group",
+                         choices=[g.value for g in RegionGroup],
+                         help="Print only the lowest/median/highest regions of a group.")
+    _add_data_options(regions)
+
+    bench = command("bench", cmd_bench, BENCH_DESCRIPTION,
+                    help="Measure a synthetic SHAPE workload of size N.")
+    _add_workload_arguments(bench)
+    _add_measurement_options(bench)
+
+    _add_workload_arguments(command("workload", cmd_workload))
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str = "carbonrun") -> NoReturn:
+    """Parse `args` (default: `sys.argv[1:]`), run the subcommand, and exit
+    with its code; a usage error exits 2."""
+    options = _parser(prog_name).parse_args(args)
+    try:
+        code = options.handler(options)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away, as under `| head`: exit 1 quietly, and let
+        # the flushes at exit write to /dev/null instead of failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, sys.stderr.fileno())
+        code = 1
+    except KeyboardInterrupt:
+        # before the child starts or after it exits; while it runs, SIGINT
+        # goes to the child
+        print("\nAborted!", file=sys.stderr)
+        code = 1
+    _exit(code)
 
 
 if __name__ == "__main__":

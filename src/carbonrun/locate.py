@@ -9,11 +9,12 @@ should never fail a measurement.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
+import urllib.request
 from dataclasses import dataclass
 from enum import Enum
-
-import requests
 
 from .griddata import DatasetSnapshot, RegionKind, RegionRecord, UnknownRegion
 
@@ -91,10 +92,11 @@ def _geolocate(
     """Map the caller's public IP to a snapshot region, or None on failure."""
     url = endpoint.rstrip("/") + "/v1/ip/geo.json"
     try:
-        response = requests.get(url, timeout=timeout_s)
-        response.raise_for_status()
-        payload = response.json()
-    except (requests.RequestException, ValueError):
+        # a status >= 400 raises HTTPError, an OSError; a malformed reply
+        # raises HTTPException, which urllib does not wrap
+        with urllib.request.urlopen(url, timeout=timeout_s) as response:
+            payload = json.loads(response.read())
+    except (OSError, http.client.HTTPException, ValueError):
         return None
     if not isinstance(payload, dict):
         return None

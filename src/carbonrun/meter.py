@@ -254,17 +254,6 @@ def fold_columns(
     integral.add_totals(kept_uj / UJ_PER_J, seconds, kept, len(dropped))
 
 
-def power_from_readings(
-    first: EnergyCounterReading, second: EnergyCounterReading
-) -> PowerSample | None:
-    """Average power between two reads of one domain; None if it wrapped."""
-    pair = pair_energy({first.domain_id: first}, {first.domain_id: second})
-    if pair is None:
-        return None
-    joules, seconds = pair
-    return PowerSample(watts=joules / seconds, interval_s=seconds)
-
-
 def read_gpu_power(
     interval_s: float = 1.0, command: list[str] | None = None
 ) -> PowerSample | None:
@@ -321,24 +310,6 @@ class PowercapSource:
 
     def next_instant(self) -> dict[str, EnergyCounterReading] | None:
         return {d: read_counter(d, r) for d, r in self._max_ranges.items()}
-
-
-def combine_instants(
-    instants: list[dict[str, EnergyCounterReading]],
-) -> list[PowerSample]:
-    """One power sample per kept pair of consecutive instants.
-
-    Watts are the pair's joules over its seconds (see `pair_energy`);
-    dropped pairs yield no sample.  Metering itself never holds a list of
-    instants: it folds them into an `EnergyIntegral`.
-    """
-    samples = []
-    for prev, cur in zip(instants, instants[1:]):
-        pair = pair_energy(prev, cur)
-        if pair is not None:
-            joules, seconds = pair
-            samples.append(PowerSample(watts=joules / seconds, interval_s=seconds))
-    return samples
 
 
 class EnergyIntegral:

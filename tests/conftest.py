@@ -5,6 +5,7 @@ import pytest
 
 import carbonrun
 from carbonrun.griddata import DatasetSnapshot
+from carbonrun.meter import PowerSample, pair_energy
 
 MAX_RANGE_UJ = 262_143_328_850
 
@@ -41,6 +42,31 @@ def short_tail_trace():
     rows = [f"{t},pkg-0,{t * 10_000_000},{MAX_RANGE_UJ}" for t in range(10)]
     rows.append(f"9.01,pkg-0,100000000,{MAX_RANGE_UJ}")
     return "\n".join(rows) + "\n"
+
+
+def power_from_readings(first, second):
+    """Average power between two reads of one domain; None if it wrapped."""
+    pair = pair_energy({first.domain_id: first}, {first.domain_id: second})
+    if pair is None:
+        return None
+    joules, seconds = pair
+    return PowerSample(watts=joules / seconds, interval_s=seconds)
+
+
+def combine_instants(instants):
+    """One power sample per kept pair of consecutive instants, the per-pair
+    reference for the running integral that metering keeps instead.
+
+    Watts are the pair's joules over its seconds (see `pair_energy`);
+    dropped pairs yield no sample.
+    """
+    samples = []
+    for prev, cur in zip(instants, instants[1:]):
+        pair = pair_energy(prev, cur)
+        if pair is not None:
+            joules, seconds = pair
+            samples.append(PowerSample(watts=joules / seconds, interval_s=seconds))
+    return samples
 
 
 @pytest.fixture(scope="session")

@@ -28,13 +28,12 @@ from carbonrun.griddata import (
 from carbonrun.meter import (
     MeterConfig,
     PowerSample,
-    combine_instants,
     summarize,
 )
 from carbonrun.report import parse_report_json, render_html, render_json, render_text
 from carbonrun.traces import TraceSource, parse_trace
 
-from conftest import constant_trace
+from conftest import combine_instants, constant_trace
 from test_report import make_reference_doc
 
 POWERCAP = "/sys/class/powercap/intel-rapl"

@@ -9,7 +9,6 @@ import sys
 import time
 
 import pytest
-from click.testing import CliRunner
 
 from carbonrun import cli
 
@@ -87,6 +86,15 @@ class TestExitCodes:
             "--efficiency", "1.5", "--", "true",
         )
         assert proc.returncode == 2
+
+    def test_interrupt_before_the_child_exits_1(self, trace_file, monkeypatch, capsys):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "collect_baseline", interrupted)
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["run", "--trace", trace_file, "--offline", "--", "true"])
+        assert exited.value.code == 1
+        assert capsys.readouterr().err == "\nAborted!\n"
 
     def test_every_pair_dropped_names_the_fall(self, tmp_path):
         trace = tmp_path / "fall.csv"
@@ -199,6 +207,75 @@ class TestMeasurement:
         assert proc.returncode != 0  # child died by signal, not success
         assert "Energy Usage Report" in stderr
 
+    @pytest.mark.parametrize("sig", [signal.SIGHUP, signal.SIGQUIT], ids=lambda s: s.name)
+    def test_hangup_and_quit_forwarded_with_partial_report(self, trace_file, tmp_path, sig):
+        started = tmp_path / "child-started"
+        # the child takes the signal's default action (no core file), even
+        # where the test runner ignores SIGHUP
+        child = (
+            "import pathlib, resource, signal, sys, time; "
+            "resource.setrlimit(resource.RLIMIT_CORE, (0, 0)); "
+            f"signal.signal({int(sig)}, signal.SIG_DFL); "
+            "pathlib.Path(sys.argv[1]).touch(); time.sleep(30)"
+        )
+        env = dict(os.environ)
+        env.pop("ENERGYUSAGE_REGION", None)
+        proc = subprocess.Popen(
+            [*CLI, "run", "--trace", trace_file, "--offline", "--",
+             sys.executable, "-c", child, str(started)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        deadline = time.monotonic() + 15
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        time.sleep(0.2)
+        proc.send_signal(sig)
+        stdout, stderr = proc.communicate(timeout=15)
+        assert proc.returncode == 128 + sig
+        assert "Energy Usage Report" in stderr
+
+
+class TestChildCommandLine:
+    @pytest.mark.parametrize("separator", [("--",), ()])
+    def test_every_argument_from_the_command_word_on_reaches_the_child(
+            self, trace_file, separator):
+        child_args = ["a", "--", "b", "--format", "json", "--offline", "--help"]
+        proc = run_cli(
+            "run", "--trace", trace_file, "--offline", *separator,
+            sys.executable, "-c", "import json, sys; print(json.dumps(sys.argv[1:]))",
+            *child_args,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == child_args
+        assert "Energy Usage Report" in proc.stderr  # a text report: --format stayed the child's
+
+
+class TestDependencies:
+    def test_import_loads_no_third_party_package(self):
+        third_party = ["requests", "urllib3", "charset_normalizer", "idna", "click"]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, carbonrun.cli; "
+             f"print(sorted(set({third_party!r}) & set(sys.modules)))"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_run_help_names_every_option(self):
+        proc = run_cli("run", "--help")
+        assert proc.returncode == 0
+        for option in ("--format", "--out", "--report-to", "--efficiency",
+                       "--sample-interval", "--baseline-duration", "--no-baseline",
+                       "--gpu", "--trace", "--location", "--default-region",
+                       "--offline", "--us-data", "--intl-data", "--equivalencies"):
+            assert option in proc.stdout
+
+    def test_version(self):
+        proc = run_cli("--version")
+        assert proc.returncode == 0
+        assert proc.stdout == "carbonrun, version 0.1.0\n"
+
 
 class TestExitFreeze:
     def test_heap_frozen_after_the_report_with_the_same_bytes(
@@ -208,10 +285,11 @@ class TestExitFreeze:
         freeze = gc.freeze
 
         def run(out):
-            result = CliRunner().invoke(cli.main, [
-                "run", "--trace", trace_file, "--offline", "--format", "html",
-                "--out", str(out), "--", "true"])
-            assert result.exit_code == 0, result.output
+            with pytest.raises(SystemExit) as exited:
+                cli.main([
+                    "run", "--trace", trace_file, "--offline", "--format", "html",
+                    "--out", str(out), "--", "true"])
+            assert exited.value.code == 0
             return out.read_bytes()
 
         with monkeypatch.context() as mp:
@@ -241,6 +319,14 @@ class TestRegionsCommand:
         assert "Vermont" in lines[0]
         assert "Mississippi" in lines[1]
         assert "Wyoming" in lines[2]
+
+    def test_closed_stdout_exits_1_quietly(self):
+        proc = subprocess.Popen([*CLI, "regions"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert stderr == ""
 
     def test_extremes_unknown_group(self):
         proc = run_cli("regions", "--extremes", "mars")

@@ -1,5 +1,8 @@
+import contextlib
 import json
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -56,6 +59,32 @@ def set_geo(country_code=None, region=None, status=200, raw=None):
 
 
 DEAD_ENDPOINT = "http://127.0.0.1:1"
+
+
+@contextlib.contextmanager
+def raw_server(reply):
+    """Answer one request with the bytes `reply`, or hold the connection
+    open without answering when `reply` is None; yields the endpoint."""
+    release = threading.Event()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(10)
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                if reply is None:
+                    release.wait(10)
+                else:
+                    conn.sendall(reply)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+        finally:
+            release.set()
+            thread.join(10)
 
 
 class TestExplicitAndEnv:
@@ -136,6 +165,22 @@ class TestGeolocation:
         set_geo(country_code="FR", status=500)
         res = resolve_location(snapshot, endpoint=geo_server, environ={})
         assert res.method is ResolutionMethod.DEFAULT_FALLBACK
+
+    @pytest.mark.parametrize("reply", [
+        pytest.param(b"garbage\r\n\r\n", id="bad-status-line"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                     b"Content-Length: 100\r\n\r\n{\"country_code\": \"FR\"}",
+                     id="body-shorter-than-content-length"),
+        pytest.param(None, id="stalled-past-timeout"),
+    ])
+    def test_broken_reply_falls_back(self, snapshot, reply):
+        with raw_server(reply) as endpoint:
+            started = time.monotonic()
+            res = resolve_location(snapshot, endpoint=endpoint, timeout_s=0.3, environ={})
+            elapsed = time.monotonic() - started
+        assert res.method is ResolutionMethod.DEFAULT_FALLBACK
+        assert res.region.id == "world-average"
+        assert elapsed < 5
 
     def test_unreachable_endpoint_falls_back(self, snapshot):
         res = resolve_location(

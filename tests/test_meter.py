@@ -17,9 +17,7 @@ from carbonrun.meter import (
     NoPowercapInterface,
     PowerSample,
     ReadFailure,
-    combine_instants,
     enumerate_package_domains,
-    power_from_readings,
     read_counter,
     read_gpu_power,
     summarize,
@@ -27,7 +25,13 @@ from carbonrun.meter import (
 )
 from carbonrun.traces import TraceSource
 
-from conftest import constant_trace, piecewise_trace, short_tail_trace
+from conftest import (
+    combine_instants,
+    constant_trace,
+    piecewise_trace,
+    power_from_readings,
+    short_tail_trace,
+)
 
 
 def reading(energy_uj, t, domain="pkg-0", max_range=10**12):
