@@ -1,4 +1,4 @@
-"""CPU package energy metering via the Linux powercap counters.
+"""CPU package and DRAM energy metering via the Linux powercap counters.
 
 The kernel exposes monotonically increasing energy counters (microjoules)
 under /sys/class/powercap/intel-rapl.  Energy is integrated from counter
@@ -9,8 +9,9 @@ pair is dropped rather than reconstructed, because the counter may have
 wrapped more than once between reads, and `summarize` bridges its time at
 the integrated mean power.  A live run keeps only the previous read, so
 memory stays constant however long the run.  A replayed trace runs in
-virtual time, so `fold_columns` integrates it in one pass over its columns
-with the same pair rule, holding no instant at all.
+virtual time and is integrated while it is read: `fold_columns` folds each
+chunk of its instants with the same pair rule, so a replay, too, keeps only
+the instant that joins one chunk to the next.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ GPU_QUERY = [
 MIN_SAMPLE_INTERVAL_S = 0.01
 
 _DOMAIN_DIR = re.compile(r"intel-rapl:\d+$")
+_SUBDOMAIN_DIR = re.compile(r"intel-rapl:\d+:\d+$")
 
 
 class NoPowercapInterface(Exception):
@@ -73,7 +75,6 @@ class EnergyCounterReading:
 class PowerSample:
     watts: float
     interval_s: float
-    source: str = "cpu"  # "cpu" or "gpu"
 
     def __post_init__(self):
         if self.watts < 0:
@@ -139,13 +140,26 @@ def _read_int(path: str) -> int:
         raise ReadFailure(path, exc) from None
 
 
-def enumerate_package_domains(root: str = POWERCAP_ROOT) -> list[str]:
-    """Return paths of top-level package power domains under *root*.
+def _domain_name(path: str) -> str:
+    """The `name` a powercap domain directory gives itself ("" if unreadable)."""
+    try:
+        with open(os.path.join(path, "name")) as fh:
+            return fh.read().strip()
+    except OSError:
+        return ""
 
-    Only whole-package domains count: directories named intel-rapl:<N>
-    whose `name` file starts with "package-".  Subdomains such as core or
-    dram (intel-rapl:<N>:<M>) are children of a package and would be
-    double-counted, so they are never enumerated.
+
+def enumerate_package_domains(root: str = POWERCAP_ROOT) -> list[str]:
+    """Return paths of the domains whose counters add up to the machine's
+    energy under *root*: each package and its DRAM.
+
+    Packages are the directories named intel-rapl:<N> whose `name` file
+    starts with "package-".  A package's subdomains are nested in it as
+    intel-rapl:<N>:<M>.  RAPL meters `dram` outside the package count, so
+    each subdomain named "dram" is enumerated after its package.  The others,
+    such as core and uncore, are parts of the package count and would be
+    double-counted, and psys (a top-level domain, not a package) covers the
+    packages, so they are never enumerated.
 
     Raises NoPowercapInterface when the hierarchy is absent or holds no
     readable package domain.
@@ -156,16 +170,14 @@ def enumerate_package_domains(root: str = POWERCAP_ROOT) -> list[str]:
         )
     domains = []
     for entry in sorted(os.listdir(root)):
-        if not _DOMAIN_DIR.match(entry):
-            continue
         path = os.path.join(root, entry)
-        try:
-            with open(os.path.join(path, "name")) as fh:
-                name = fh.read().strip()
-        except OSError:
+        if not _DOMAIN_DIR.match(entry) or not _domain_name(path).startswith("package-"):
             continue
-        if name.startswith("package-"):
-            domains.append(path)
+        domains.append(path)
+        domains += [
+            os.path.join(path, sub) for sub in sorted(os.listdir(path))
+            if _SUBDOMAIN_DIR.match(sub) and _domain_name(os.path.join(path, sub)) == "dram"
+        ]
     if not domains:
         raise NoPowercapInterface(f"no package-* domains found under {root}")
     return domains
@@ -213,45 +225,43 @@ def pair_energy(
     return delta_uj / UJ_PER_J, seconds / len(prev)
 
 
-def _pairs(column: Sequence, start: int) -> tuple[Iterator, Iterator]:
-    """Iterators over column[j] and column[j + 1] for j >= start, uncopied."""
-    return islice(column, start, None), islice(column, start + 1, None)
+def _pairs(column: Sequence) -> tuple[Iterator, Iterator]:
+    """Iterators over column[j] and column[j + 1] for every j, uncopied."""
+    return iter(column), islice(column, 1, None)
 
 
 def fold_columns(
-    integral: EnergyIntegral,
-    timestamps: Sequence[float],
-    energies: Sequence[Sequence[int]],
-    start: int = 0,
-) -> None:
-    """Fold every pair of consecutive instants from index `start` on into
-    `integral`, given the instants' timestamps and one counter column (µJ)
-    per domain (at least one), with the pair rule of `pair_energy`.
+    timestamps: Sequence[float], energies: Sequence[Sequence[int]]
+) -> tuple[int, int, int, Iterator[float]]:
+    """Integrate every pair of consecutive instants, given the instants'
+    timestamps and one counter column (µJ) per domain (at least one), with
+    the pair rule of `pair_energy`.
 
-    Kept µJ are each domain's net advance minus the dropped pairs' advances,
-    and kept seconds the intervals of all pairs minus the dropped ones'.  The
-    pairs where a counter fell are found by C-level iterators over the
-    columns: one pass per column, nothing copied, memory O(domains).
+    Returns the kept µJ, the numbers of kept and dropped pairs, and the kept
+    seconds as terms whose exact sum (`math.fsum`) they are: every pair's
+    interval, and each dropped pair's interval negated.  Kept µJ are each
+    domain's net advance minus the dropped pairs' advances.  The pairs where
+    a counter fell are found by C-level iterators over the columns: one pass
+    per column, nothing copied, memory O(domains).  Columns cut into pieces
+    that overlap by one instant fold to the same totals when the pieces' µJ
+    are added and all their terms go to one `fsum`, since `fsum` is exactly
+    rounded whatever the order.
     """
-    last = len(timestamps) - 1
-    if last <= start:
-        return
-    if any(map(ge, *_pairs(timestamps, start))):
+    if len(timestamps) < 2:
+        return 0, 0, 0, iter(())
+    if any(map(ge, *_pairs(timestamps))):
         raise ValueError("readings must be in increasing time order")
-    falls = heapq.merge(*(
-        compress(count(start), map(gt, *_pairs(column, start))) for column in energies
-    ))
+    falls = heapq.merge(*(compress(count(), map(gt, *_pairs(column))) for column in energies))
     dropped = [j for j, _ in groupby(falls)]
-    kept_uj = sum(column[last] - column[start] for column in energies) - sum(
+    kept_uj = sum(column[-1] - column[0] for column in energies) - sum(
         column[j + 1] - column[j] for j in dropped for column in energies
     )
-    earlier, later = _pairs(timestamps, start)
-    seconds = math.fsum(chain(
+    earlier, later = _pairs(timestamps)
+    seconds = chain(
         map(sub, later, earlier),
         (timestamps[j] - timestamps[j + 1] for j in dropped),
-    ))
-    kept = last - start - len(dropped)
-    integral.add_totals(kept_uj / UJ_PER_J, seconds, kept, len(dropped))
+    )
+    return kept_uj, len(timestamps) - 1 - len(dropped), len(dropped), seconds
 
 
 def read_gpu_power(
@@ -286,7 +296,7 @@ def read_gpu_power(
         seen = True
     if not seen or total < 0:
         return None
-    return PowerSample(watts=total, interval_s=interval_s, source="gpu")
+    return PowerSample(watts=total, interval_s=interval_s)
 
 
 class PowercapSource:
@@ -303,10 +313,6 @@ class PowercapSource:
             path: _read_int(os.path.join(path, "max_energy_range_uj"))
             for path in enumerate_package_domains(root)
         }
-
-    @property
-    def domain_ids(self) -> list[str]:
-        return list(self._max_ranges)
 
     def next_instant(self) -> dict[str, EnergyCounterReading] | None:
         return {d: read_counter(d, r) for d, r in self._max_ranges.items()}
@@ -343,7 +349,7 @@ class EnergyIntegral:
         self.pairs += 1
 
     def add_totals(self, joules: float, seconds: float, pairs: int, dropped: int) -> None:
-        """Add pairs already integrated elsewhere (see `fold_columns`)."""
+        """Add pairs already integrated elsewhere (see `TraceSource`)."""
         self.joules += joules
         self.seconds += seconds
         self.pairs += pairs
@@ -362,10 +368,10 @@ class SamplingSession:
     For a live source the loop sleeps `sample_interval_s` between instants
     and takes one final instant when stopped, so short-lived processes still
     get a trailing partial sample; instants are folded into an
-    `EnergyIntegral` as they arrive.  A trace source runs in virtual time:
-    the thread folds all of its instants not yet served into the integral
-    at once (`TraceSource.fold_into`), with no per-instant loop.  `pairs`
-    and `dropped` count the pairs kept and dropped.
+    `EnergyIntegral` as they arrive.  A trace source runs in virtual time
+    and was integrated while it was read, before the child started: the
+    thread only adds its totals to the integral (`TraceSource.fold_into`).
+    `pairs` and `dropped` count the pairs kept and dropped.
 
     The sampler's CPU lands in the counters it reads, so each tick is kept
     cheap.  The stop gate is a plain lock the session holds until `stop()`

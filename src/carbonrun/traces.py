@@ -9,25 +9,26 @@ whitespace-only lines are skipped.  Lines end in LF, CRLF or a lone CR,
 fields may be quoted as `csv.reader` quotes them, and a line break inside
 a quoted field reads as LF.
 
-The text is parsed in columns, a chunk at a time.  Each chunk of about
-`_CHUNK_CHARS` characters, cut at a line break, becomes one flat field
-list.  `csv.reader` tokenises it, skipping the header and blank lines and
-counting fields; a record still open at the chunk's end reads on a line at
-a time until it closes.  A chunk every line of which is four plain fields
-(three commas, no quote, no NUL) reads the same split at commas and line
-breaks, and is split so by `str.split`, which is about three times as
-fast: that is nearly every chunk of a recorded trace.  The four columns are
-stride slices of the field list, converted by `float` and `int` mapped over
-a whole column, and every check runs on a whole column.  Only when a check
-fails is the offending row located, to name its line.  The rows of an
-instant cut by a chunk border wait for the next chunk, so parsing holds one
-chunk, the rest of a record open at its end and the rows of one instant on
-top of the finished columns: one array of timestamps, and per domain one
-array of counter values and one of ranges.
+The text is read in one streaming pass, a chunk at a time.  Each chunk of
+about `_CHUNK_CHARS` characters, cut at a line break, becomes one flat
+field list.  `csv.reader` tokenises it, skipping the header and blank lines
+and counting fields; a record still open at the chunk's end reads on a line
+at a time until it closes.  A chunk every line of which is four plain
+fields (three commas, no quote, no NUL) reads the same split at commas and
+line breaks, and is split so by `str.split`, which is about three times as
+fast: that is nearly every chunk of a recorded trace.  The four columns
+are stride slices of the field list; timestamps and counter values are
+converted by `float` and `int` mapped over a whole column, and each
+distinct range text is converted once.  Every check runs on a whole column,
+and only when one fails is the offending row located, to name its line.
 
-An instant is rebuilt only when `next_instant` serves it; a replay session
-instead folds the columns into the energy integral in one pass
-(`fold_into`), so it builds no per-instant object at all.
+The rows of an instant cut by a chunk border wait for the next chunk.  A
+replay (`TraceSource`) folds each chunk's instants into the energy integral
+as soon as they are checked, carrying only the chunk's last instant over to
+pair it with the next chunk's first, so reading holds one chunk, the rest
+of a record open at its end, the rows of one instant and the integral's
+totals, however long the trace.  `parse_trace` builds the instants of the
+same checked chunks instead.
 """
 
 from __future__ import annotations
@@ -41,17 +42,20 @@ from itertools import chain, compress, count, islice, repeat
 from operator import add, lt, mod, ne, sub
 from typing import TextIO
 
-from .meter import EnergyCounterReading, EnergyIntegral, fold_columns
+from .meter import UJ_PER_J, EnergyCounterReading, EnergyIntegral, fold_columns
 
-# Text parsed at a time.  Larger chunks parse no faster, and from 16k on the
-# chunk's temporaries fragment the heap while the columns grow: a 100k-instant
-# parse then raised peak RSS by 1-1.7 MB more than the columns need.
-_CHUNK_CHARS = 8 * 1024
+# Text parsed at a time.  Reading and folding a 100k-instant trace took about
+# as long at 16k to 64k characters, ~10 % longer at 8k and ~twice as long at
+# 128k.
+_CHUNK_CHARS = 32 * 1024
 _INT64_MAX = 2**63 - 1
 
 # one batch of data rows, as columns: timestamps, domains, counter values,
 # ranges, and each row's line number as `csv.reader` counts records
 _Batch = tuple[array, list[str], list[int], list[int], list[int]]
+# the checked instants of a batch: their timestamps and, per domain in the
+# first instant's row order, their counter values and their ranges
+_Instants = tuple[array, list[list[int]], list[list[int]]]
 
 
 class TraceError(Exception):
@@ -59,91 +63,61 @@ class TraceError(Exception):
 
 
 class TraceSource:
-    """Drop-in counter source that serves pre-recorded instants.
+    """Counter source that replays a recorded trace in virtual time.
 
-    Runs in virtual time: `next_instant` returns the next recorded snapshot
-    immediately and None once the trace is exhausted, and `fold_into`
-    integrates every snapshot not yet served in one pass over the columns.
+    The trace is checked and integrated while it is read (see `fold_columns`
+    for the pair rule): each chunk's instants are folded as soon as they are
+    checked, and only the last one is kept, for the pair it forms with the
+    next chunk's first.  The kept µJ stay one exact integer and every term
+    of the kept seconds goes to one `math.fsum`, so the totals equal a fold
+    of the whole trace at once.  `fold_into` adds them to an integral.
     `span_s` is the time covered by the recording and stands in for
     wall-clock duration.
     """
 
     virtual_time = True
 
-    def __init__(self, instants: Iterable[dict[str, EnergyCounterReading]]):
-        """Serve `instants`, each stamped with its first reading's timestamp."""
-        timestamps = array("d")
-        columns: list[tuple[str, array, array]] = []
-        for index, instant in enumerate(instants):
-            if index == 0:
-                columns = [(d, array("q"), array("q")) for d in instant]
-                domains = instant.keys()
-            elif instant.keys() != domains:
-                raise _uncovered(index, domains)
-            try:
-                for domain, energies, ranges in columns:
-                    energies.append(instant[domain].energy_uj)
-                    ranges.append(instant[domain].max_range_uj)
-            except OverflowError:
-                raise _out_of_range(index) from None
-            timestamps.append(next(iter(instant.values())).timestamp)
-        self._set_columns(timestamps, columns)
+    def __init__(self, fh: TextIO):
+        """Read and fold the trace text of `fh`, read with universal
+        newlines (every line break is LF)."""
+        self._kept_uj = self._pairs = self._dropped = 0
+        self._first_ts = 0.0
+        self._last: tuple[array, list[int]] | None = None
+        self._seconds = math.fsum(chain.from_iterable(map(self._fold, _Loader().read(fh))))
+        self.span_s = self._last[0][0] - self._first_ts
 
     @classmethod
     def from_csv(cls, text: str) -> "TraceSource":
-        return cls._read(io.StringIO(text, newline=None))
+        return cls(io.StringIO(text, newline=None))
 
     @classmethod
     def from_file(cls, path: str) -> "TraceSource":
         with open(path, encoding="utf-8") as fh:
             try:
-                return cls._read(fh)
+                return cls(fh)
             except UnicodeDecodeError as exc:
                 raise TraceError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
-    @classmethod
-    def _read(cls, fh: TextIO) -> "TraceSource":
-        """Parse text read with universal newlines (every line break is LF)."""
-        loader = _Loader()
-        try:
-            for batch in _batches(fh):
-                loader.add(*batch)
-        except csv.Error as exc:
-            raise TraceError(str(exc)) from None
-        loader.finish()
-        source = cls.__new__(cls)
-        source._set_columns(loader.timestamps, loader.columns)
-        return source
-
-    def _set_columns(self, timestamps: array, columns: list[tuple[str, array, array]]) -> None:
-        if len(timestamps) < 2:
-            raise TraceError("trace needs at least two instants to form a sample")
-        self._timestamps = timestamps
-        self._columns = columns
-        self._cursor = 0
-        self.span_s = timestamps[-1] - timestamps[0]
-
-    @property
-    def domain_ids(self) -> list[str]:
-        return sorted(domain for domain, _, _ in self._columns)
-
-    def next_instant(self) -> dict[str, EnergyCounterReading] | None:
-        i = self._cursor
-        if i >= len(self._timestamps):
-            return None
-        self._cursor = i + 1
-        ts = self._timestamps[i]
-        return {
-            domain: EnergyCounterReading(domain, energies[i], ranges[i], ts)
-            for domain, energies, ranges in self._columns
-        }
+    def _fold(self, instants: _Instants) -> Iterator[float]:
+        """Fold the pairs of a batch's instants, and the pair joining them to
+        the last batch's; return the terms of their kept seconds."""
+        stamps, energies, _ = instants
+        if self._last is None:
+            self._first_ts = stamps[0]
+        else:
+            last_stamp, last_energies = self._last
+            stamps = last_stamp + stamps
+            energies = [[e] + column for e, column in zip(last_energies, energies)]
+        self._last = stamps[-1:], [column[-1] for column in energies]
+        kept_uj, kept, dropped, seconds = fold_columns(stamps, energies)
+        self._kept_uj += kept_uj
+        self._pairs += kept
+        self._dropped += dropped
+        return seconds
 
     def fold_into(self, integral: EnergyIntegral) -> None:
-        """Fold the pairs of every instant not yet served into `integral`
-        (see `fold_columns`); the trace is exhausted afterwards."""
-        energies = [column for _, column, _ in self._columns]
-        fold_columns(integral, self._timestamps, energies, self._cursor)
-        self._cursor = len(self._timestamps)
+        """Add the trace's pairs to `integral`."""
+        integral.add_totals(self._kept_uj / UJ_PER_J, self._seconds, self._pairs, self._dropped)
 
 
 def _uncovered(index: int, domains: Iterable[str]) -> TraceError:
@@ -226,19 +200,22 @@ def _csv_fields(chunk: str, fh: TextIO, first: int) -> tuple[list[str], list[int
 
 
 def _convert(fields: list[str], numbers: list[int]) -> _Batch:
-    """Convert each column in one pass; check every row's values."""
+    """Convert each column in one pass; check every row's values.  A trace
+    repeats each domain's range, so each distinct range text converts once."""
+    range_texts = fields[3::4]
     try:
         stamps = array("d", map(float, fields[0::4]))
         energies = list(map(int, fields[2::4]))
-        ranges = list(map(int, fields[3::4]))
+        range_of = {text: int(text) for text in set(range_texts)}
     except ValueError:
         valid = False
     else:
         valid = (all(map(math.isfinite, stamps)) and min(energies, default=0) >= 0
-                 and min(ranges, default=1) > 0)
+                 and min(range_of.values(), default=1) > 0)
     if not valid:
         _raise_row_error(fields, numbers)
-    return stamps, list(map(str.strip, fields[1::4])), energies, ranges, numbers
+    return (stamps, list(map(str.strip, fields[1::4])), energies,
+            list(map(range_of.__getitem__, range_texts)), numbers)
 
 
 def _raise_row_error(fields: list[str], numbers: list[int]) -> None:
@@ -261,8 +238,8 @@ def _no_rows() -> _Batch:
 
 
 class _Loader:
-    """Checks batches of rows for the instant structure and appends them to
-    the trace's columns.
+    """Checks batches of rows for the instant structure and hands on their
+    whole instants.
 
     Valid rows form blocks of D rows, D being the size of the first instant:
     each block shares one timestamp, block timestamps strictly increase, and
@@ -271,23 +248,38 @@ class _Loader:
     """
 
     def __init__(self) -> None:
-        self.timestamps = array("d")
-        # per domain, in the first instant's row order: energies and ranges
-        self.columns: list[tuple[str, array, array]] = []
+        self.domains: list[str] = []  # of the first instant, in its row order
+        self.instants = 0  # checked so far
+        self._last_stamp = array("d")  # of the last instant checked
         self._pending = _no_rows()
         self._first_domains: set[str] = set()  # of the first instant, while it waits
 
+    def read(self, fh: TextIO) -> Iterator[_Instants]:
+        """The instants of the trace text of `fh`, checked, a batch at a time."""
+        try:
+            for batch in _batches(fh):
+                if instants := self.add(*batch):
+                    yield instants
+        except csv.Error as exc:
+            raise TraceError(str(exc)) from None
+        if instants := self.add(*_no_rows(), last=True):
+            yield instants
+        if self.instants < 2:
+            raise TraceError("trace needs at least two instants to form a sample")
+
     def add(self, stamps: array, domains: list[str], energies: list[int],
-            ranges: list[int], numbers: list[int], last: bool = False) -> None:
+            ranges: list[int], numbers: list[int], last: bool = False) -> _Instants | None:
+        """Check a batch of rows; return its whole instants, if any.  With
+        `last`, the trace ends here."""
         held = len(self._pending[0])  # rows waiting since earlier batches
         if held:
             for waiting, new in zip(self._pending, (stamps, domains, energies, ranges, numbers)):
                 waiting.extend(new)
             stamps, domains, energies, ranges, numbers = self._pending
         rows = len(stamps)
-        if not self.columns:
+        if not self.domains:
             if not rows:
-                return
+                return None
             # the first instant ends where the timestamp first changes; the
             # rows held so far share its timestamp, so only new rows are scanned
             width = next(compress(count(held), map(
@@ -297,15 +289,15 @@ class _Loader:
                 if len(self._first_domains) < rows:  # a domain repeated
                     self._raise_group_error(stamps, domains, numbers, rows)
                 self._pending = (stamps, domains, energies, ranges, numbers)
-                return
+                return None
             width = width or rows
             if len(set(domains[:width])) < width:
                 self._raise_group_error(stamps, domains, numbers, width)
-            self.columns = [(d, array("q"), array("q")) for d in domains[:width]]
-        width = len(self.columns)
+            self.domains = domains[:width]
+        width = len(self.domains)
         whole = rows - rows % width  # the rows of whole blocks
         block_stamps = stamps[0:whole:width]
-        since_last = self.timestamps[-1:] + block_stamps
+        since_last = self._last_stamp + block_stamps
         valid = (
             (whole == rows or not last)  # the trace does not end inside an instant
             and all(stamps[j:whole:width] == block_stamps for j in range(1, width))
@@ -313,38 +305,36 @@ class _Loader:
         )
         self._pending = (stamps[whole:], domains[whole:], energies[whole:],
                          ranges[whole:], numbers[whole:])
-        ordered = [d for d, _, _ in self.columns]
+        if whole < rows:
+            energies, ranges = energies[:whole], ranges[:whole]
         if valid and not all(domains[j:whole:width].count(d) == whole // width
-                             for j, d in enumerate(ordered)):
-            order = _block_order(domains, ordered, whole)  # domains in another order
+                             for j, d in enumerate(self.domains)):
+            order = _block_order(domains, self.domains, whole)  # domains in another order
             valid = order is not None
             if valid:
                 energies = list(map(energies.__getitem__, order))
                 ranges = list(map(ranges.__getitem__, order))
         if not valid:
             self._raise_group_error(stamps, domains, numbers, rows if last else whole)
-        try:
-            for j, (_, energy_column, range_column) in enumerate(self.columns):
-                energy_column.fromlist(energies[j:whole:width])
-                range_column.fromlist(ranges[j:whole:width])
-        except OverflowError:
+        if not whole:
+            return None
+        if max(energies) > _INT64_MAX or max(ranges) > _INT64_MAX:
             first_bad = next(i for i, (e, r) in enumerate(zip(energies, ranges))
                              if max(e, r) > _INT64_MAX)
-            raise _out_of_range(len(self.timestamps) + first_bad // width) from None
-        self.timestamps.extend(block_stamps)
-
-    def finish(self) -> None:
-        """Take in the rows still waiting: the trace ends here."""
-        self.add(*_no_rows(), last=True)
+            raise _out_of_range(self.instants + first_bad // width)
+        self.instants += whole // width
+        self._last_stamp = block_stamps[-1:]
+        return (block_stamps, [energies[j::width] for j in range(width)],
+                [ranges[j::width] for j in range(width)])
 
     def _raise_group_error(self, stamps: array, domains: list[str],
                            numbers: list[int], rows: int) -> None:
         """Raise the error a row-by-row reading meets first among the first
         `rows` rows, which fail a block check; their last instant counts as
         complete."""
-        covered = {d for d, _, _ in self.columns} or None
-        index = len(self.timestamps) - 1  # the instant the rows continue
-        group_ts = self.timestamps[-1] if self.timestamps else None
+        covered = set(self.domains) or None
+        index = self.instants - 1  # the instant the rows continue
+        group_ts = self._last_stamp[0] if self._last_stamp else None
         group = set(covered or ())
         for ts, domain, number in islice(zip(stamps, domains, numbers), rows):
             if ts != group_ts:
@@ -385,5 +375,10 @@ def _block_order(domains: list[str], ordered: list[str], whole: int) -> list[int
 
 
 def parse_trace(text: str) -> list[dict[str, EnergyCounterReading]]:
-    """Every instant of a trace, validated, as `TraceSource` serves them."""
-    return list(iter(TraceSource.from_csv(text).next_instant, None))
+    """Every instant of a trace, checked as `TraceSource` checks it."""
+    loader = _Loader()
+    return [
+        {d: EnergyCounterReading(d, e, r, ts) for d, e, r in zip(loader.domains, energies, ranges)}
+        for stamps, energy_columns, range_columns in loader.read(io.StringIO(text, newline=None))
+        for ts, energies, ranges in zip(stamps, zip(*energy_columns), zip(*range_columns))
+    ]

@@ -58,13 +58,6 @@ def criterion(capsys, num, label):
         _say(capsys, f"ACCEPTANCE {num:>2} PASS  {label}")
 
 
-def drain(source):
-    instants = []
-    while (instant := source.next_instant()) is not None:
-        instants.append(instant)
-    return instants
-
-
 def packaged_csv(name):
     return (resources.files("carbonrun.data") / name).read_text()
 
@@ -123,8 +116,9 @@ def test_05_extremes_reproduction(capsys, snapshot):
 def test_06_trace_oracle_and_psu_scaling(capsys):
     with criterion(capsys, 6, "constant 5/10/20 W traces integrate exactly; PSU 0.8 scales x1.25"):
         for watts in (5.0, 10.0, 20.0):
-            source = TraceSource.from_csv(constant_trace(watts, 30))
-            samples = combine_instants(drain(source))
+            text = constant_trace(watts, 30)
+            source = TraceSource.from_csv(text)
+            samples = combine_instants(parse_trace(text))
             raw = summarize([], samples, source.span_s,
                             MeterConfig(psu_efficiency=1.0))
             expected_kwh = watts * 30 / 3.6e6
@@ -170,7 +164,7 @@ class TestWrapProperties:
     @given(case=wrapping_trace())
     def test_wraps_never_negative_and_lose_one_pair_each(self, case):
         text, n, wraps = case
-        samples = combine_instants(drain(TraceSource(parse_trace(text))))
+        samples = combine_instants(parse_trace(text))
         assert all(s.watts >= 0 for s in samples)
         assert len(samples) == (n - 1) - wraps
 

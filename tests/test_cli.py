@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from carbonrun import cli
+from carbonrun import cli, traces
 
 from conftest import constant_trace, short_tail_trace
 from test_traces import MALFORMED_TRACES, NON_UTF8_TRACE
@@ -120,6 +120,23 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("carbonrun: error: ")
         assert "Traceback" not in proc.stderr
+        assert not marker.exists()
+
+    def test_defect_on_the_last_line_of_a_long_trace_exits_2_before_child(self, tmp_path):
+        # the whole file is read before the child starts, however many chunks
+        # it is read in: the child must not run
+        lines = constant_trace(10.0, 20_000).splitlines()
+        lines[-1] = lines[-1].replace(",pkg-0,", ",pkg-0,x", 1)
+        text = "\n".join(lines) + "\n"
+        assert len(text) > 8 * traces._CHUNK_CHARS
+        trace = tmp_path / "bad-end.csv"
+        trace.write_text(text)
+        marker = tmp_path / "child-ran"
+        proc = run_cli(
+            "run", "--trace", str(trace), "--offline", "--", "touch", str(marker),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"carbonrun: error: line {len(lines)}: invalid literal")
         assert not marker.exists()
 
 

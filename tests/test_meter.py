@@ -18,12 +18,13 @@ from carbonrun.meter import (
     PowerSample,
     ReadFailure,
     enumerate_package_domains,
+    fold_columns,
     read_counter,
     read_gpu_power,
     summarize,
     _read_int,
 )
-from carbonrun.traces import TraceSource
+from carbonrun.traces import TraceSource, parse_trace
 
 from conftest import (
     combine_instants,
@@ -36,13 +37,6 @@ from conftest import (
 
 def reading(energy_uj, t, domain="pkg-0", max_range=10**12):
     return EnergyCounterReading(domain, energy_uj, max_range, t)
-
-
-def drain(source):
-    instants = []
-    while (instant := source.next_instant()) is not None:
-        instants.append(instant)
-    return instants
 
 
 class TestPowerFromReadings:
@@ -106,6 +100,22 @@ class TestSysfsReads:
         assert [os.path.basename(d) for d in domains] == [
             "intel-rapl:0",
             "intel-rapl:1",
+        ]
+
+    def test_enumerate_adds_each_package_dram_but_no_other_subdomain(self, tmp_path):
+        root = tmp_path / "intel-rapl"
+        for n in range(2):
+            package = self.make_domain(root, f"intel-rapl:{n}", f"package-{n}")
+            self.make_domain(package, f"intel-rapl:{n}:0", "core")
+            self.make_domain(package, f"intel-rapl:{n}:1", "uncore")
+            self.make_domain(package, f"intel-rapl:{n}:2", "dram")
+        self.make_domain(root, "intel-rapl:2", "psys")
+        domains = enumerate_package_domains(str(root))
+        assert [os.path.relpath(d, root) for d in domains] == [
+            "intel-rapl:0",
+            os.path.join("intel-rapl:0", "intel-rapl:0:2"),
+            "intel-rapl:1",
+            os.path.join("intel-rapl:1", "intel-rapl:1:2"),
         ]
 
     def test_missing_hierarchy(self, tmp_path):
@@ -203,7 +213,6 @@ class TestGpu:
         stub = self.make_stub(tmp_path, "printf '41.73\\n12.27\\n'")
         sample = read_gpu_power(interval_s=0.5, command=[stub])
         assert sample.watts == pytest.approx(54.0)
-        assert sample.source == "gpu"
         assert sample.interval_s == 0.5
 
     def test_absent_utility(self):
@@ -220,10 +229,9 @@ class TestGpu:
 
 class TestCombine:
     def test_multi_domain_additivity(self):
-        source = TraceSource.from_csv(
+        samples = combine_instants(parse_trace(
             constant_trace(7.0, 10, domains=("pkg-0", "pkg-1"))
-        )
-        samples = combine_instants(drain(source))
+        ))
         assert len(samples) == 10
         for s in samples:
             assert s.watts == pytest.approx(14.0)
@@ -241,7 +249,7 @@ class TestCombine:
             "3,pkg-0,15000000,1000000000",
             "3,pkg-1,5005000,1000000000",
         ]
-        samples = combine_instants(drain(TraceSource.from_csv("\n".join(rows))))
+        samples = combine_instants(parse_trace("\n".join(rows)))
         assert len(samples) == 2
         for s in samples:
             assert s.watts == pytest.approx(10.0)
@@ -315,7 +323,7 @@ class TestSummarize:
         # 5 W for 10 s + 20 W for 10 s + 1 W for 10 s = 260 J
         text = piecewise_trace([(5.0, 10), (20.0, 10), (1.0, 10)], interval_s=1.0)
         source = TraceSource.from_csv(text)
-        samples = combine_instants(drain(source))
+        samples = combine_instants(parse_trace(text))
         summary = summarize(
             [], samples, source.span_s, MeterConfig(psu_efficiency=1.0)
         )
@@ -371,12 +379,10 @@ class TestSamplingSession:
         assert (session.pairs, session.dropped) == (2, 1)
         assert sample.interval_s == 2.0
         assert sample.watts == 5.0  # (4 + 1) J per second over 2 s
-        assert source.next_instant() is None
 
     def test_fold_rejects_time_that_does_not_increase(self):
-        source = TraceSource([{"pkg-0": reading(0, 1.0)}, {"pkg-0": reading(10, 1.0)}])
         with pytest.raises(ValueError, match="increasing time order"):
-            source.fold_into(EnergyIntegral())
+            fold_columns([1.0, 1.0], [[0, 10]])
 
     def test_gpu_polling_on_a_replayed_trace_is_rejected(self):
         source = TraceSource.from_csv(constant_trace(10.0, 3))
@@ -403,18 +409,18 @@ class TestSamplingSession:
             ts += interval
             counters = [c + delta for c, delta in zip(counters, deltas)]
             rows += [f"{ts!r},pkg-{d},{counters[d]},{2**62}" for d in range(domains)]
-        text = "\n".join(rows)
+        # the instants from `served` on, as the loop and as columns
+        instants = parse_trace("\n".join(rows))[served:]
+        timestamps = [instant["pkg-0"].timestamp for instant in instants]
+        energies = [[instant[f"pkg-{d}"].energy_uj for instant in instants]
+                    for d in range(domains)]
 
         folded, looped = EnergyIntegral(), EnergyIntegral()
-        bulk, stepped = TraceSource.from_csv(text), TraceSource.from_csv(text)
-        for source in (bulk, stepped):
-            for _ in range(served):
-                source.next_instant()
-        bulk.fold_into(folded)
-        for instant in iter(stepped.next_instant, None):
+        kept_uj, kept, dropped, seconds = fold_columns(timestamps, energies)
+        folded.add_totals(kept_uj / meter.UJ_PER_J, math.fsum(seconds), kept, dropped)
+        for instant in instants:
             looped.add(instant)
 
-        assert bulk.next_instant() is None
         assert (folded.pairs, folded.dropped) == (looped.pairs, looped.dropped)
         assert math.isclose(folded.joules, looped.joules, rel_tol=1e-12)
         assert math.isclose(folded.seconds, looped.seconds, rel_tol=1e-12)
@@ -472,6 +478,46 @@ class TestSamplingSession:
 
         assert session.pairs >= 5
         assert 0.5 < samples[0].watts < 4.0
+
+    def test_live_session_sums_package_and_dram(self, tmp_path):
+        # 1 W package, 10 W DRAM beside it, and a 100 W core counter inside
+        # the package: the machine draws 11 W, which neither the package
+        # alone (1 W) nor a count with the core (111 W) comes near
+        root = tmp_path / "intel-rapl"
+        package = root / "intel-rapl:0"
+        watts = {package: 1.0, package / "intel-rapl:0:0": 100.0,
+                 package / "intel-rapl:0:1": 10.0}
+        for domain, name in zip(watts, ("package-0", "core", "dram")):
+            domain.mkdir(parents=True)
+            (domain / "name").write_text(f"{name}\n")
+            (domain / "max_energy_range_uj").write_text("1000000000000\n")
+            (domain / "energy_uj").write_text("0\n")
+        source = meter.PowercapSource(str(root))
+        session = meter.SamplingSession(source, MeterConfig(sample_interval_s=0.02))
+        stop_feeding = threading.Event()
+
+        def feed():
+            start = time.monotonic()
+            while not stop_feeding.is_set():
+                elapsed = time.monotonic() - start
+                for domain, w in watts.items():
+                    scratch = domain / "energy_uj.tmp"
+                    scratch.write_text(f"{int(elapsed * w * 1_000_000)}\n")
+                    os.replace(scratch, domain / "energy_uj")
+                time.sleep(0.005)
+
+        feeder = threading.Thread(target=feed)
+        feeder.start()
+        try:
+            session.start()
+            time.sleep(0.4)
+            [sample] = session.stop()
+        finally:
+            stop_feeding.set()
+            feeder.join(timeout=5)
+        assert not feeder.is_alive()
+        assert session.pairs >= 5
+        assert 8.0 < sample.watts < 14.0
 
 
 def make_package_tree(tmp_path, packages=1):

@@ -1,5 +1,6 @@
 import csv
 import os
+import random
 import tempfile
 import tracemalloc
 
@@ -7,15 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carbonrun import traces
-from carbonrun.meter import EnergyCounterReading
+from carbonrun.meter import EnergyCounterReading, EnergyIntegral
 from carbonrun.traces import TraceError, TraceSource, parse_trace
 
 from conftest import MAX_RANGE_UJ, constant_trace
-from trace_reference import reference_parse
+from trace_reference import reference_parse, reference_totals
 
 
-def drain(source):
-    return list(iter(source.next_instant, None))
+def totals(source):
+    """Joules, seconds, kept pairs, dropped pairs and span of a replay."""
+    integral = EnergyIntegral()
+    source.fold_into(integral)
+    return (integral.joules, integral.seconds, integral.pairs, integral.dropped,
+            source.span_s)
 
 
 def test_parse_groups_rows_into_instants():
@@ -33,15 +38,10 @@ def test_header_row_tolerated():
 def test_span_covers_recording():
     source = TraceSource.from_csv(constant_trace(1.0, 30, interval_s=0.5))
     assert source.span_s == pytest.approx(30.0)
-    assert source.domain_ids == ["pkg-0"]
 
 
-def test_exhaustion_returns_none():
-    source = TraceSource.from_csv(constant_trace(1.0, 2))
-    assert source.next_instant() is not None
-    assert source.next_instant() is not None
-    assert source.next_instant() is not None
-    assert source.next_instant() is None
+def test_replay_folds_every_pair_of_the_trace():
+    assert totals(TraceSource.from_csv(constant_trace(1.0, 2))) == (2.0, 2.0, 2, 0, 2.0)
 
 
 def test_from_file(tmp_path):
@@ -86,10 +86,10 @@ def test_csv_error_becomes_trace_error():
         parse_trace(f"0,pkg-0,{oversized},100\n1,pkg-0,5,100\n")
 
 
-def test_instants_round_trip_through_constructor():
+def test_instants_carry_every_reading():
     text = constant_trace(3.0, 4, domains=("a", "b"))
     instants = parse_trace(text)
-    assert drain(TraceSource(instants)) == instants
+    assert instants == reference_parse(text)
     assert instants[2]["b"] == EnergyCounterReading("b", 6_000_000, MAX_RANGE_UJ, 2.0)
 
 
@@ -236,22 +236,29 @@ def _outcome(parse, text):
         return f"TraceError: {exc}"
 
 
-def _parse_file(text):
+def _replay_file(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.csv")
         with open(path, "wb") as fh:
             fh.write(text.encode())
-        return list(iter(TraceSource.from_file(path).next_instant, None))
+        return totals(TraceSource.from_file(path))
+
+
+def _replay_csv(text):
+    return totals(TraceSource.from_csv(text))
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=trace_texts(), chunk_chars=st.sampled_from([16, 64, 32 * 1024]))
 def test_columnar_loader_agrees_with_row_by_row_reference(case, chunk_chars):
+    # small chunks cut instants, and pairs that wrap, at chunk borders
     text, defects = case
-    expected = _outcome(reference_parse, text)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(traces, "_CHUNK_CHARS", chunk_chars)
-        for parse in (parse_trace, _parse_file):
+        for parse, reference in ((parse_trace, reference_parse),
+                                 (_replay_csv, reference_totals),
+                                 (_replay_file, reference_totals)):
+            expected = _outcome(reference, text)
             got = _outcome(parse, text)
             if defects <= 1 or not isinstance(expected, str):
                 assert got == expected
@@ -259,15 +266,41 @@ def test_columnar_loader_agrees_with_row_by_row_reference(case, chunk_chars):
                 assert isinstance(got, str), got
 
 
-def test_parse_memory_stays_near_the_columns(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text(constant_trace(10.0, 50_000))
-    tracemalloc.start()
-    try:
-        source = TraceSource.from_file(str(path))
-        columns, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert source.span_s == pytest.approx(50_000)
-    # the file is 2.5 MB: reading or splitting it whole would show here
-    assert peak - columns <= 512 * 1024
+def _jittered_trace(instants, seed):
+    """Two domains read every 0.1 s +- 30 % from time 0, wrapping once midway."""
+    rng = random.Random(seed)
+    rows, t, energy = [], 0.0, [10**9, 2 * 10**9]
+    for i in range(instants):
+        t += 0.1 * (1 + rng.uniform(-0.3, 0.3))
+        for d in range(2):
+            energy[d] = 123 if i == instants // 2 else energy[d] + rng.randrange(10**6, 5 * 10**6)
+            rows.append(f"{t!r},pkg-{d},{energy[d]},{2**40}")
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("chunk_chars", [64, 32 * 1024])
+def test_streamed_totals_equal_the_whole_trace_fold_to_the_last_bit(chunk_chars, monkeypatch):
+    # joules or seconds summed a chunk at a time in floats differ from the
+    # whole-trace fold in the last bits on this trace
+    text = _jittered_trace(3000, seed=22)
+    monkeypatch.setattr(traces, "_CHUNK_CHARS", chunk_chars)
+    assert _replay_csv(text) == reference_totals(text)
+
+
+def test_replay_memory_does_not_grow_with_trace_length(tmp_path):
+    def parse_peak_bytes(instants):
+        path = tmp_path / f"{instants}.csv"
+        path.write_text(constant_trace(10.0, instants, domains=("pkg-0", "pkg-1")))
+        tracemalloc.start()
+        try:
+            source = TraceSource.from_file(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert totals(source)[2:] == (instants, 0, instants)
+        return peak
+
+    parse_peak_bytes(10)  # first-use allocations
+    # the larger file is 5 MB: holding its instants, or reading it whole,
+    # would show here
+    assert abs(parse_peak_bytes(50_000) - parse_peak_bytes(5_000)) <= 64 * 1024

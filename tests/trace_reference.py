@@ -1,18 +1,23 @@
-"""Row-by-row trace parser, the reference for `carbonrun.traces`.
+"""Row-by-row trace parser and whole-trace fold, the reference for
+`carbonrun.traces`.
 
-It tokenises with `csv.reader` over text split into lines the way a file
-opened with `newline=""` splits them, then validates and groups one row at
-a time.  The columnar loader must accept exactly the traces this accepts,
-with the same instants, and name the same error for a trace with one
-defect.
+The parser tokenises with `csv.reader` over text split into lines the way
+a file opened with `newline=""` splits them, then validates and groups one
+row at a time.  The chunked loader must accept exactly the traces this
+accepts, with the same instants, and name the same error for a trace with
+one defect.  The fold integrates the whole trace's columns at once; the
+streamed fold of `TraceSource` must give the same totals to the last bit.
 """
 
 import csv
+import heapq
 import io
 import math
 from array import array
+from itertools import chain, compress, count, groupby, islice
+from operator import ge, gt, sub
 
-from carbonrun.meter import EnergyCounterReading
+from carbonrun.meter import UJ_PER_J, EnergyCounterReading, EnergyIntegral
 from carbonrun.traces import TraceError
 
 
@@ -84,3 +89,45 @@ def _load(groups):
         {d: EnergyCounterReading(d, energies[i], ranges[i], ts) for d, energies, ranges in columns}
         for i, ts in enumerate(timestamps)
     ]
+
+
+def reference_totals(text):
+    """Joules, seconds, kept pairs, dropped pairs and span of the trace in
+    `text`, folded whole; or TraceError."""
+    instants = reference_parse(text)
+    timestamps = [next(iter(instant.values())).timestamp for instant in instants]
+    energies = [[instant[d].energy_uj for instant in instants] for d in instants[0]]
+    integral = EnergyIntegral()
+    fold_columns(integral, timestamps, energies)
+    return (integral.joules, integral.seconds, integral.pairs, integral.dropped,
+            timestamps[-1] - timestamps[0])
+
+
+def _pairs(column, start):
+    """Iterators over column[j] and column[j + 1] for j >= start, uncopied."""
+    return islice(column, start, None), islice(column, start + 1, None)
+
+
+def fold_columns(integral, timestamps, energies, start=0):
+    """Fold every pair of consecutive instants from index `start` on into
+    `integral`, given the instants' timestamps and one counter column (µJ)
+    per domain, with the pair rule of `pair_energy`, over whole columns."""
+    last = len(timestamps) - 1
+    if last <= start:
+        return
+    if any(map(ge, *_pairs(timestamps, start))):
+        raise ValueError("readings must be in increasing time order")
+    falls = heapq.merge(*(
+        compress(count(start), map(gt, *_pairs(column, start))) for column in energies
+    ))
+    dropped = [j for j, _ in groupby(falls)]
+    kept_uj = sum(column[last] - column[start] for column in energies) - sum(
+        column[j + 1] - column[j] for j in dropped for column in energies
+    )
+    earlier, later = _pairs(timestamps, start)
+    seconds = math.fsum(chain(
+        map(sub, later, earlier),
+        (timestamps[j] - timestamps[j + 1] for j in dropped),
+    ))
+    kept = last - start - len(dropped)
+    integral.add_totals(kept_uj / UJ_PER_J, seconds, kept, len(dropped))
