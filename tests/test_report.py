@@ -133,6 +133,10 @@ class TestFormatters:
 
 
 class TestJsonRendering:
+    def test_matches_golden(self, doc):
+        golden = (GOLDEN_DIR / "report.json").read_bytes()
+        assert render_json(doc) == golden
+
     def test_round_trip(self, doc):
         assert parse_report_json(render_json(doc)) == doc
 
