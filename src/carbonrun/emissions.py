@@ -6,7 +6,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 from .griddata import (
     DatasetSnapshot,
@@ -14,6 +13,7 @@ from .griddata import (
     RegionGroup,
     RegionRecord,
     effective_intensity_kg_per_kwh,
+    read_data,
 )
 
 EQUIV_DATA_FILE = "equivalencies.csv"
@@ -63,11 +63,7 @@ class EquivalencyFactors:
 
 
 def load_equivalency_factors(path: str | None = None) -> EquivalencyFactors:
-    if path is not None:
-        with open(path) as fh:
-            return EquivalencyFactors.from_csv(fh.read())
-    text = (resources.files("carbonrun.data") / EQUIV_DATA_FILE).read_text()
-    return EquivalencyFactors.from_csv(text)
+    return EquivalencyFactors.from_csv(read_data(path, EQUIV_DATA_FILE))
 
 
 @dataclass(frozen=True)

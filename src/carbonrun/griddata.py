@@ -20,10 +20,10 @@ import csv
 import difflib
 import io
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 
 KG_PER_LB = 0.453592
 
@@ -75,6 +75,8 @@ EIA_EXCLUDED_NAMES = {
 NEGLIGIBLE_NEGATIVE = -1e-6
 
 FOSSIL_FUELS = ("coal", "oil", "natural_gas")
+# every sum over fuels runs in this order, so its floats never change
+FUELS = FOSSIL_FUELS + ("low_carbon",)
 
 WORLD_MIX = (0.287, 0.229, 0.339, 0.144)
 WORLD_RATE_LBS_PER_MWH = 1600.6
@@ -114,8 +116,15 @@ class RegionGroup(Enum):
     GLOBAL = "global"  # countries outside the US and Europe
 
 
+class _PerFuel:
+    """A value for each of FUELS, held in a field named after the fuel."""
+
+    def as_dict(self) -> dict[str, float]:
+        return {fuel: getattr(self, fuel) for fuel in FUELS}
+
+
 @dataclass(frozen=True)
-class EnergyMix:
+class EnergyMix(_PerFuel):
     """Generation shares by fuel; fractions of total, summing to ~1."""
 
     coal: float
@@ -131,25 +140,16 @@ class EnergyMix:
         if not 0.99 <= total <= 1.01:
             raise ValueError(f"mix fractions sum to {total}, expected ~1")
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "coal": self.coal,
-            "oil": self.oil,
-            "natural_gas": self.natural_gas,
-            "low_carbon": self.low_carbon,
-        }
-
     def weighted_kg_per_mwh(self, intensities: "FuelIntensities") -> float:
-        return (
-            self.coal * intensities.coal
-            + self.oil * intensities.oil
-            + self.natural_gas * intensities.natural_gas
-            + self.low_carbon * intensities.low_carbon
-        )
+        # a loop, not sum(): sum() of floats rounds differently from Python 3.12
+        total = 0.0
+        for fuel in FUELS:
+            total += getattr(self, fuel) * getattr(intensities, fuel)
+        return total
 
 
 @dataclass(frozen=True)
-class FuelIntensities:
+class FuelIntensities(_PerFuel):
     """Per-fuel emission intensities in kg CO2 per MWh generated."""
 
     coal: float
@@ -161,14 +161,6 @@ class FuelIntensities:
         for name, value in self.as_dict().items():
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"intensity {name}={value} must be >= 0")
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "coal": self.coal,
-            "oil": self.oil,
-            "natural_gas": self.natural_gas,
-            "low_carbon": self.low_carbon,
-        }
 
 
 # Global mean intensities by fuel, kg CO2 per MWh.  Used wherever a region
@@ -375,12 +367,7 @@ def derive_fuel_intensity(
             values[fuel] = 0.0
         else:
             values[fuel] = emit * 1e6 / gen
-    return FuelIntensities(
-        coal=values["coal"],
-        oil=values["oil"],
-        natural_gas=values["natural_gas"],
-        low_carbon=0.0,
-    )
+    return FuelIntensities(**values, low_carbon=0.0)
 
 
 def effective_intensity_kg_per_kwh(
@@ -413,10 +400,8 @@ class DatasetSnapshot:
         intl_path: str | None = None,
     ) -> "DatasetSnapshot":
         """Build the lookup snapshot from packaged (or user-supplied) CSVs."""
-        us_text = _read_data(us_path, US_DATA_FILE)
-        intl_text = _read_data(intl_path, INTL_DATA_FILE)
-        states = parse_egrid(us_text)
-        countries = parse_eia(intl_text)
+        states = parse_egrid(read_data(us_path, US_DATA_FILE))
+        countries = parse_eia(read_data(intl_path, INTL_DATA_FILE))
 
         regions: dict[str, RegionRecord] = {}
         for row in states:
@@ -447,7 +432,27 @@ class DatasetSnapshot:
         )
 
     def lookup(self, key: str) -> RegionRecord:
-        return lookup_region(self, key)
+        """Resolve a user-supplied region name or id, case-insensitively.
+
+        Both ids ("us-wy", "de", "us-average") and display names ("Wyoming",
+        "Germany") resolve; hyphens, underscores and runs of spaces are
+        interchangeable.  Where a state and a country share a display name
+        the state wins; the country remains reachable by id.  A bare US
+        postal code such as "wy" does not resolve: two-letter ids are
+        country codes, so "de" stays Germany and "in" stays India.
+        """
+        norm = _normalize(key)
+        region_id = self._index.get(norm)
+        if region_id is not None:
+            return self.regions[region_id]
+        suggestions = difflib.get_close_matches(norm, self._index.keys(), n=3)
+        display = []
+        for s in suggestions:
+            rec = self.regions[self._index[s]]
+            label = rec.display_name if _normalize(rec.display_name) == s else rec.id
+            if label not in display:
+                display.append(label)
+        raise UnknownRegion(key, display)
 
     def members(self, group: RegionGroup) -> list[RegionRecord]:
         return [r for r in self.regions.values() if r.group is group]
@@ -455,14 +460,28 @@ class DatasetSnapshot:
     def extremes(
         self, group: RegionGroup
     ) -> tuple[RegionRecord, RegionRecord, RegionRecord]:
-        return region_extremes(self, group)
+        """Lowest, median and highest emission-intensity members of a group.
+
+        Median is the lower middle for even-sized groups; ties order by
+        region id so the result never depends on dict iteration order.
+        """
+        members = self.members(group)
+        if not members:
+            raise EmptyGroup(f"no regions in group {group.value!r}")
+        ranked = sorted(
+            members,
+            key=lambda r: (effective_intensity_kg_per_kwh(r, self.intensities), r.id),
+        )
+        return ranked[0], ranked[(len(ranked) - 1) // 2], ranked[-1]
 
 
-def _read_data(path: str | None, default_name: str) -> str:
+def read_data(path: str | None, name: str) -> str:
+    """The text of `path`, or of the packaged `data/<name>` when `path` is None."""
     if path is not None:
         with open(path) as fh:
             return fh.read()
-    return (resources.files("carbonrun.data") / default_name).read_text()
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _build_aggregates(
@@ -482,7 +501,7 @@ def _build_aggregates(
     # generation is in the snapshot, so totals are reconstructed from the
     # fossil share of the mix.
     weighted_rate = 0.0
-    weighted_mix = {"coal": 0.0, "oil": 0.0, "natural_gas": 0.0, "low_carbon": 0.0}
+    weighted_mix = dict.fromkeys(FUELS, 0.0)
     total_weight = 0.0
     for row in states:
         mix = row.record.mix
@@ -508,8 +527,8 @@ def _build_aggregates(
     europe = [c for c in countries if c.group is RegionGroup.EUROPE]
     if europe:
         mean_mix = {
-            fuel: sum(c.mix.as_dict()[fuel] for c in europe) / len(europe)
-            for fuel in ("coal", "oil", "natural_gas", "low_carbon")
+            fuel: sum(getattr(c.mix, fuel) for c in europe) / len(europe)
+            for fuel in FUELS
         }
         aggregates.append(
             RegionRecord(
@@ -525,45 +544,3 @@ def _build_aggregates(
 
 def _normalize(key: str) -> str:
     return re.sub(r"[\s_-]+", " ", key.strip().casefold())
-
-
-def lookup_region(snapshot: DatasetSnapshot, key: str) -> RegionRecord:
-    """Resolve a user-supplied region name or id, case-insensitively.
-
-    Both ids ("us-wy", "de", "us-average") and display names ("Wyoming",
-    "Germany") resolve; hyphens, underscores and runs of spaces are
-    interchangeable.  Where a state and a country share a display name the
-    state wins; the country remains reachable by id.  A bare US postal code
-    such as "wy" does not resolve: two-letter ids are country codes, so
-    "de" stays Germany and "in" stays India.
-    """
-    norm = _normalize(key)
-    region_id = snapshot._index.get(norm)
-    if region_id is not None:
-        return snapshot.regions[region_id]
-    suggestions = difflib.get_close_matches(norm, snapshot._index.keys(), n=3)
-    display = []
-    for s in suggestions:
-        rec = snapshot.regions[snapshot._index[s]]
-        label = rec.display_name if _normalize(rec.display_name) == s else rec.id
-        if label not in display:
-            display.append(label)
-    raise UnknownRegion(key, display)
-
-
-def region_extremes(
-    snapshot: DatasetSnapshot, group: RegionGroup
-) -> tuple[RegionRecord, RegionRecord, RegionRecord]:
-    """Lowest, median and highest emission-intensity members of a group.
-
-    Median is the lower middle for even-sized groups; ties order by region
-    id so the result never depends on dict iteration order.
-    """
-    members = snapshot.members(group)
-    if not members:
-        raise EmptyGroup(f"no regions in group {group.value!r}")
-    ranked = sorted(
-        members,
-        key=lambda r: (effective_intensity_kg_per_kwh(r, snapshot.intensities), r.id),
-    )
-    return ranked[0], ranked[(len(ranked) - 1) // 2], ranked[-1]

@@ -125,7 +125,7 @@ class TestParseEgrid:
         assert parse_egrid(serialize_egrid(rows)) == rows
 
     def test_packaged_snapshot_round_trips(self):
-        text = griddata._read_data(None, griddata.US_DATA_FILE)
+        text = griddata.read_data(None, griddata.US_DATA_FILE)
         rows = parse_egrid(text)
         assert len(rows) == 51
         assert parse_egrid(serialize_egrid(rows)) == rows
@@ -192,7 +192,7 @@ class TestParseEia:
         assert parse_eia(serialize_eia(recs)) == recs
 
     def test_packaged_snapshot_round_trips(self):
-        text = griddata._read_data(None, griddata.INTL_DATA_FILE)
+        text = griddata.read_data(None, griddata.INTL_DATA_FILE)
         recs = parse_eia(text)
         assert len(recs) == 186
         assert parse_eia(serialize_eia(recs)) == recs
