@@ -66,35 +66,37 @@ def _exit(code: int) -> NoReturn:
     sys.exit(code)
 
 
-def run_measured(argv: list[str], **opts) -> tuple[int, ReportDocument | None]:
-    """Measure `argv` and render its report; returns (exit code, document)."""
+def run_measured(
+    argv: list[str], options: argparse.Namespace
+) -> tuple[int, ReportDocument | None]:
+    """Measure `argv` with the measurement options of `run` or `bench`, as
+    `_parser` builds them, and render its report; returns (exit code, document)."""
     try:
-        snapshot = DatasetSnapshot.load(opts.get("us_data"), opts.get("intl_data"))
-        factors = load_equivalency_factors(opts.get("equivalencies"))
+        snapshot = DatasetSnapshot.load(options.us_data, options.intl_data)
+        factors = load_equivalency_factors(options.equivalencies)
     except (SchemaError, EquivalencyError, OSError) as exc:
         return _fail(str(exc)), None
 
     try:
         resolution = resolve_location(
             snapshot,
-            explicit=opts.get("location"),
-            default_choice=opts.get("default_region", "world"),
-            offline=bool(opts.get("offline")),
+            explicit=options.location,
+            default_choice=options.default_region,
+            offline=options.offline,
         )
     except (UnknownRegion, ValueError) as exc:
         return _fail(str(exc)), None
 
-    trace_path = opts.get("trace")
+    trace_path = options.trace
     try:
         config = MeterConfig(
-            sample_interval_s=opts.get("sample_interval", 0.1),
-            psu_efficiency=opts.get("efficiency", 0.8),
+            sample_interval_s=options.sample_interval,
+            psu_efficiency=options.efficiency,
             baseline_duration_s=(
-                0.0 if opts.get("no_baseline") or trace_path
-                else opts.get("baseline_duration", 5.0)
+                0.0 if options.no_baseline or trace_path else options.baseline_duration
             ),
             # GPU polling is wall-clock; it cannot mix with virtual trace time
-            gpu_enabled=bool(opts.get("gpu")) and not trace_path,
+            gpu_enabled=options.gpu and not trace_path,
         )
     except ValueError as exc:
         return _fail(str(exc)), None
@@ -174,7 +176,7 @@ def run_measured(argv: list[str], **opts) -> tuple[int, ReportDocument | None]:
         command=argv[0],
         arguments=tuple(argv[1:]),
     )
-    _emit(doc, opts.get("fmt", "text"), opts.get("out"), opts.get("report_to", "stderr"))
+    _emit(doc, options.fmt, options.out, options.report_to)
     return exit_code, doc
 
 
@@ -217,7 +219,7 @@ def cmd_run(options: argparse.Namespace) -> int:
         argv = argv[1:]
     if not argv:
         return _fail("no command given; usage: carbonrun run [flags] -- CMD ...")
-    code, _ = run_measured(argv, **vars(options))
+    code, _ = run_measured(argv, options)
     return code
 
 
@@ -262,7 +264,7 @@ def cmd_bench(options: argparse.Namespace) -> int:
         return _fail(str(exc))
     argv = [sys.executable, "-m", "carbonrun", "workload", spec.shape.value, str(spec.n),
             "--unit-ops", str(spec.unit_ops)]
-    code, doc = run_measured(argv, **vars(options))
+    code, doc = run_measured(argv, options)
     if doc is not None:
         print(
             f"bench {spec.shape.value} n={spec.n}: "
@@ -306,11 +308,12 @@ def _add_measurement_options(parser: argparse.ArgumentParser) -> None:
         help="Write the report to a file instead of a stream.")
     add("--report-to", choices=["stderr", "stdout"], default="stderr",
         help="Stream for the report when --out is not given (default: %(default)s).")
-    add("--efficiency", type=float, default=0.8, metavar="FLOAT",
+    add("--efficiency", type=float, default=MeterConfig.psu_efficiency, metavar="FLOAT",
         help="Power supply efficiency in (0, 1] (default: %(default)s).")
-    add("--sample-interval", type=float, default=0.1, metavar="FLOAT",
-        help="Seconds between energy counter reads (default: %(default)s).")
-    add("--baseline-duration", type=float, default=5.0, metavar="FLOAT",
+    add("--sample-interval", type=float, default=MeterConfig.sample_interval_s,
+        metavar="FLOAT", help="Seconds between energy counter reads (default: %(default)s).")
+    add("--baseline-duration", type=float, default=MeterConfig.baseline_duration_s,
+        metavar="FLOAT",
         help="Seconds of idle sampling before the command starts (default: %(default)s).")
     add("--no-baseline", action="store_true",
         help="Skip the idle baseline phase (baseline wattage = 0).")

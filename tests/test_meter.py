@@ -181,7 +181,8 @@ class TestSysfsReads:
         domain = self.make_domain(root, "intel-rapl:0", "package-0")
         (domain / "max_energy_range_uj").write_text("garbage\n")
         monkeypatch.setattr(cli, "PowercapSource", lambda: meter.PowercapSource(str(root)))
-        code, doc = cli.run_measured(["true"], offline=True)
+        options = cli._parser("carbonrun").parse_args(["run", "--offline", "true"])
+        code, doc = cli.run_measured(options.command, options)
         assert (code, doc) == (2, None)
         assert str(domain / "max_energy_range_uj") in capsys.readouterr().err
 
@@ -194,8 +195,9 @@ class TestSysfsReads:
         monkeypatch.setattr(threading, "excepthook", thread_errors.append)
         monkeypatch.setattr(cli, "PowercapSource", lambda: meter.PowercapSource(str(root)))
         child = ["sh", "-c", f"sleep 0.15; rm '{counter}'; sleep 0.15; exit 3"]
-        code, doc = cli.run_measured(
-            child, offline=True, no_baseline=True, sample_interval=0.01)
+        options = cli._parser("carbonrun").parse_args(
+            ["run", "--offline", "--no-baseline", "--sample-interval", "0.01", *child])
+        code, doc = cli.run_measured(options.command, options)
         assert (code, doc) == (3, None)
         err = capsys.readouterr().err
         assert f"carbonrun: error: sampling stopped: cannot read {counter}" in err
