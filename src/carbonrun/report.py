@@ -9,10 +9,12 @@ while text/HTML round for display.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from html import escape
+from typing import get_args, get_origin, get_type_hints
 
 from . import __version__
 from .charts import bar_panel, pie_chart
@@ -23,7 +25,7 @@ from .emissions import (
     emissions_for,
     equivalents_for,
 )
-from .griddata import DatasetSnapshot, EnergyMix, FuelIntensities, RegionGroup
+from .griddata import FUELS, DatasetSnapshot, EnergyMix, FuelIntensities, RegionGroup
 from .locate import LocationResolution, ResolutionMethod
 from .meter import MeasurementSummary
 
@@ -50,6 +52,8 @@ MIX_COLORS = {
     "Natural gas": "#e8a33d",
     "Low carbon": "#59a14f",
 }
+# MIX_COLORS lists the fuels in FUELS order
+FUEL_LABELS = dict(zip(FUELS, MIX_COLORS))
 BAR_COLOR = "#7f7f7f"
 LOCAL_BAR_COLOR = "#2a7ab0"
 
@@ -201,9 +205,44 @@ def _rule(title: str) -> str:
     return f"{'=' * left} {title} {'=' * (pad - left)}"
 
 
+def _rows(doc: ReportDocument) -> dict[str, list[tuple[str, str]]]:
+    """Each labelled section as (label, value text) rows, for text and HTML."""
+    readings, summary, eq = doc.readings, doc.summary, doc.equivalents
+    return {
+        "readings": [
+            ("Average baseline wattage", f"{readings.baseline_watts:.2f} watts"),
+            ("Average total wattage", f"{readings.total_watts:.2f} watts"),
+            ("Average process wattage", f"{readings.process_watts:.2f} watts"),
+            ("Process duration", format_duration(readings.duration_s)),
+            ("Assumed PSU efficiency", f"{readings.psu_efficiency * 100:.0f}%"),
+        ],
+        "mix": [
+            (label, f"{getattr(doc.mix.mix, fuel) * 100:.1f}%")
+            for fuel, label in FUEL_LABELS.items()
+        ],
+        "totals": [
+            ("Total kilowatt hours used", f"{format_kwh(summary.kwh)} kWh"),
+            ("Effective emissions", f"{format_kg(summary.kg_co2)} kg CO2"),
+        ],
+        "assumptions": [
+            (label, f"{getattr(doc.assumptions, fuel):g} kg CO2/MWh")
+            for fuel, label in FUEL_LABELS.items()
+        ],
+        "equivalents": [
+            ("Miles driven", f"{eq.miles_driven:.2e} mi"),
+            ("Min. of 32-in. LCD TV", f"{eq.tv_minutes:.2f} min"),
+            ("% of CO2 per US house/day", f"{eq.household_day_percent:.2e} %"),
+        ],
+    }
+
+
 def render_text(doc: ReportDocument) -> str:
     """Fixed-width terminal rendering of the report."""
-    mix = doc.mix.mix
+    rows = _rows(doc)
+
+    def section(title: str, name: str, width: int) -> list[str]:
+        return ["", title] + [f"    {label + ':':<{width}}{value}" for label, value in rows[name]]
+
     lines = [
         _rule("Energy Usage Report"),
         f"Energy usage and CO2 emissions for the command `{doc.header.command_line}`.",
@@ -215,41 +254,16 @@ def render_text(doc: ReportDocument) -> str:
             f"Note: location defaulted to {doc.mix.region_name}; "
             "pass --location for an exact region."
         )
-    lines += [
-        "",
-        "Energy Usage Readings",
-        f"    Average baseline wattage:     {doc.readings.baseline_watts:.2f} watts",
-        f"    Average total wattage:        {doc.readings.total_watts:.2f} watts",
-        f"    Average process wattage:      {doc.readings.process_watts:.2f} watts",
-        f"    Process duration:             {format_duration(doc.readings.duration_s)}",
-        f"    Assumed PSU efficiency:       {doc.readings.psu_efficiency * 100:.0f}%",
-    ]
+    lines += section("Energy Usage Readings", "readings", 30)
     if doc.readings.negative_clamped:
         lines.append(
             "    Note: baseline exceeded total wattage; process power clamped to 0."
         )
+    lines += section(f"Energy Mix Data ({doc.mix.region_name})", "mix", 15)
+    lines += section("Totals", "totals", 30)
+    lines += section("Assumed Carbon Equivalencies", "assumptions", 15)
+    lines += section("CO2 Emissions Equivalents", "equivalents", 30)
     lines += [
-        "",
-        f"Energy Mix Data ({doc.mix.region_name})",
-        f"    Coal:          {mix.coal * 100:.1f}%",
-        f"    Oil:           {mix.oil * 100:.1f}%",
-        f"    Natural gas:   {mix.natural_gas * 100:.1f}%",
-        f"    Low carbon:    {mix.low_carbon * 100:.1f}%",
-        "",
-        "Totals",
-        f"    Total kilowatt hours used:    {format_kwh(doc.summary.kwh)} kWh",
-        f"    Effective emissions:          {format_kg(doc.summary.kg_co2)} kg CO2",
-        "",
-        "Assumed Carbon Equivalencies",
-        f"    Coal:          {doc.assumptions.coal:g} kg CO2/MWh",
-        f"    Oil:           {doc.assumptions.oil:g} kg CO2/MWh",
-        f"    Natural gas:   {doc.assumptions.natural_gas:g} kg CO2/MWh",
-        f"    Low carbon:    {doc.assumptions.low_carbon:g} kg CO2/MWh",
-        "",
-        "CO2 Emissions Equivalents",
-        f"    Miles driven:                 {doc.equivalents.miles_driven:.2e} mi",
-        f"    Min. of 32-in. LCD TV:        {doc.equivalents.tv_minutes:.2f} min",
-        f"    % of CO2 per US house/day:    {doc.equivalents.household_day_percent:.2e} %",
         "",
         "Emission Comparisons",
         "    CO2 emissions for the same energy had it been used elsewhere.",
@@ -270,110 +284,62 @@ def render_text(doc: ReportDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _document_dict(doc: ReportDocument) -> dict:
-    return {
-        "schema_version": doc.schema_version,
-        "generated_at": doc.generated_at,
-        "tool_version": doc.tool_version,
-        "header": {
-            "command": doc.header.command,
-            "arguments": list(doc.header.arguments),
-        },
-        "readings": {
-            "baseline_watts": doc.readings.baseline_watts,
-            "total_watts": doc.readings.total_watts,
-            "process_watts": doc.readings.process_watts,
-            "duration_s": doc.readings.duration_s,
-            "measured_kwh": doc.readings.measured_kwh,
-            "adjusted_kwh": doc.readings.adjusted_kwh,
-            "psu_efficiency": doc.readings.psu_efficiency,
-            "negative_clamped": doc.readings.negative_clamped,
-        },
-        "mix": {
-            "region_id": doc.mix.region_id,
-            "region_name": doc.mix.region_name,
-            "coal": doc.mix.mix.coal,
-            "oil": doc.mix.mix.oil,
-            "natural_gas": doc.mix.mix.natural_gas,
-            "low_carbon": doc.mix.mix.low_carbon,
-        },
-        "summary": {
-            "kwh": doc.summary.kwh,
-            "kg_co2": doc.summary.kg_co2,
-            "intensity_kg_per_kwh": doc.summary.intensity_kg_per_kwh,
-        },
-        "assumptions": doc.assumptions.as_dict(),
-        "equivalents": {
-            "miles_driven": doc.equivalents.miles_driven,
-            "tv_minutes": doc.equivalents.tv_minutes,
-            "household_day_percent": doc.equivalents.household_day_percent,
-        },
-        "comparisons": [
-            {
-                "group": panel.group,
-                "label": panel.label,
-                "rows": [
-                    {
-                        "rank": row.rank,
-                        "region_id": row.region_id,
-                        "region_name": row.region_name,
-                        "kg_co2": row.kg_co2,
-                    }
-                    for row in panel.rows
-                ],
-            }
-            for panel in doc.comparisons
-        ],
-        "resolution": {
-            "method": doc.resolution.method,
-            "region_id": doc.resolution.region_id,
-            "detail": doc.resolution.detail,
-        },
-    }
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _encode(value: object) -> object:
+    """A dataclass as an object of its fields, a tuple as a list."""
+    if isinstance(value, tuple):
+        return [x if type(x) in _SCALARS else _encode(x) for x in value]
+    obj = {k: x if type(x) in _SCALARS else _encode(x) for k, x in vars(value).items()}
+    if isinstance(value, MixSection):
+        obj.update(obj.pop("mix"))
+    return obj
 
 
 def render_json(doc: ReportDocument) -> bytes:
     """Machine-readable rendering: full precision, stable key order."""
-    payload = json.dumps(_document_dict(doc), sort_keys=True, indent=2)
+    payload = json.dumps(_encode(doc), sort_keys=True, indent=2)
     return (payload + "\n").encode("utf-8")
 
 
-def parse_report_json(data: bytes | str) -> ReportDocument:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    raw = json.loads(data)
-    return ReportDocument(
-        schema_version=raw["schema_version"],
-        generated_at=raw["generated_at"],
-        tool_version=raw["tool_version"],
-        header=ReportHeader(
-            command=raw["header"]["command"],
-            arguments=tuple(raw["header"]["arguments"]),
-        ),
-        readings=MeasurementSummary(**raw["readings"]),
-        mix=MixSection(
-            region_id=raw["mix"]["region_id"],
-            region_name=raw["mix"]["region_name"],
-            mix=EnergyMix(
-                coal=raw["mix"]["coal"],
-                oil=raw["mix"]["oil"],
-                natural_gas=raw["mix"]["natural_gas"],
-                low_carbon=raw["mix"]["low_carbon"],
-            ),
-        ),
-        summary=SummarySection(**raw["summary"]),
-        assumptions=FuelIntensities(**raw["assumptions"]),
-        equivalents=Equivalents(**raw["equivalents"]),
-        comparisons=tuple(
-            ComparisonPanel(
-                group=panel["group"],
-                label=panel["label"],
-                rows=tuple(ComparisonRow(**row) for row in panel["rows"]),
-            )
-            for panel in raw["comparisons"]
-        ),
-        resolution=ResolutionInfo(**raw["resolution"]),
+@functools.cache
+def _schema(cls: type) -> tuple[dict[str, object], frozenset[str]]:
+    """A dataclass's field types, and the names of the fields with no default."""
+    required = frozenset(
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
     )
+    return get_type_hints(cls), required
+
+
+def _decode(cls, data):
+    """Build `cls` from its JSON form: dataclasses, `tuple[X, ...]` and scalars."""
+    if cls in _SCALARS:
+        return data
+    if get_origin(cls) is tuple:
+        if not isinstance(data, list):
+            raise ValueError(f"expected a list, got {data!r}")
+        item = get_args(cls)[0]
+        return tuple(_decode(item, x) for x in data)
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__}: expected an object, got {data!r}")
+    hints, required = _schema(cls)
+    if cls is MixSection:
+        data = dict(data)
+        data["mix"] = {k: data.pop(k) for k in _schema(EnergyMix)[0] if k in data}
+    unknown = data.keys() - hints.keys()
+    if unknown:
+        raise ValueError(f"{cls.__name__}: unknown keys {sorted(unknown)}")
+    missing = required - data.keys()
+    if missing:
+        raise ValueError(f"{cls.__name__}: missing keys {sorted(missing)}")
+    return cls(**{k: _decode(hints[k], v) for k, v in data.items()})
+
+
+def parse_report_json(data: bytes | str) -> ReportDocument:
+    """Read a rendered JSON report back; raises ValueError on any unknown or
+    missing key."""
+    return _decode(ReportDocument, json.loads(data))
 
 
 _CSS = (
@@ -404,13 +370,11 @@ def _table(rows: list[tuple[str, str]]) -> str:
 
 def render_html(doc: ReportDocument) -> bytes:
     """Self-contained HTML rendering with inline SVG charts."""
-    mix = doc.mix.mix
+    rows = _rows(doc)
     pie = pie_chart(
         [
-            ("Coal", mix.coal, MIX_COLORS["Coal"]),
-            ("Oil", mix.oil, MIX_COLORS["Oil"]),
-            ("Natural gas", mix.natural_gas, MIX_COLORS["Natural gas"]),
-            ("Low carbon", mix.low_carbon, MIX_COLORS["Low carbon"]),
+            (label, getattr(doc.mix.mix, fuel), MIX_COLORS[label])
+            for fuel, label in FUEL_LABELS.items()
         ]
     )
     panels = []
@@ -433,34 +397,6 @@ def render_html(doc: ReportDocument) -> bytes:
         )
     note_html = "".join(f"<p class='note'>{n}</p>" for n in notes)
 
-    readings = _table(
-        [
-            ("Average baseline wattage", f"{doc.readings.baseline_watts:.2f} watts"),
-            ("Average total wattage", f"{doc.readings.total_watts:.2f} watts"),
-            ("Average process wattage", f"{doc.readings.process_watts:.2f} watts"),
-            ("Process duration", format_duration(doc.readings.duration_s)),
-            ("Assumed PSU efficiency", f"{doc.readings.psu_efficiency * 100:.0f}%"),
-        ]
-    )
-    assumptions = _table(
-        [
-            ("Coal", f"{doc.assumptions.coal:g} kg CO2/MWh"),
-            ("Oil", f"{doc.assumptions.oil:g} kg CO2/MWh"),
-            ("Natural gas", f"{doc.assumptions.natural_gas:g} kg CO2/MWh"),
-            ("Low carbon", f"{doc.assumptions.low_carbon:g} kg CO2/MWh"),
-        ]
-    )
-    equivalents = _table(
-        [
-            ("Miles driven", f"{doc.equivalents.miles_driven:.2e} mi"),
-            ("Min. of 32-in. LCD TV", f"{doc.equivalents.tv_minutes:.2f} min"),
-            (
-                "% of CO2 per US house/day",
-                f"{doc.equivalents.household_day_percent:.2e} %",
-            ),
-        ]
-    )
-
     html = (
         "<!DOCTYPE html>"
         "<html lang='en'><head><meta charset='utf-8'>"
@@ -474,21 +410,14 @@ def render_html(doc: ReportDocument) -> bytes:
         f"generated {escape(doc.generated_at)}</p>"
         f"{note_html}"
         "<div class='row'>"
-        f"<section><h2>Energy Usage Readings</h2>{readings}</section>"
+        f"<section><h2>Energy Usage Readings</h2>{_table(rows['readings'])}</section>"
         f"<section><h2>Energy Mix Data ({escape(doc.mix.region_name)})</h2>"
         f"{pie}</section>"
         "</div>"
-        "<div class='totals'>"
-        + _table(
-            [
-                ("Total kilowatt hours used", f"{format_kwh(doc.summary.kwh)} kWh"),
-                ("Effective emissions", f"{format_kg(doc.summary.kg_co2)} kg CO2"),
-            ]
-        )
-        + "</div>"
+        f"<div class='totals'>{_table(rows['totals'])}</div>"
         "<div class='row'>"
-        f"<section><h2>Assumed Carbon Equivalencies</h2>{assumptions}</section>"
-        f"<section><h2>CO2 Emissions Equivalents</h2>{equivalents}</section>"
+        f"<section><h2>Assumed Carbon Equivalencies</h2>{_table(rows['assumptions'])}</section>"
+        f"<section><h2>CO2 Emissions Equivalents</h2>{_table(rows['equivalents'])}</section>"
         "</div>"
         "<section><h2>Emission Comparisons</h2>"
         "<p>CO2 emissions for the same energy had it been used elsewhere.</p>"

@@ -20,6 +20,7 @@ from carbonrun.report import (
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 FROZEN_TIME = "2016-07-01T00:00:00Z"
 
 
@@ -158,6 +159,36 @@ class TestJsonRendering:
 
     def test_stable_key_order(self, doc):
         assert render_json(doc) == render_json(doc)
+
+    # a key the section holds is dropped, a key it lacks is added
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("summary", "kg_co2"),
+            ("header", "shell"),
+            ("mix", "hydro"),
+            ("readings", "peak_watts"),
+            (None, "comment"),
+        ],
+    )
+    def test_parse_rejects_a_missing_or_unknown_key(self, doc, section, key):
+        payload = json.loads(render_json(doc))
+        target = payload if section is None else payload[section]
+        if key in target:
+            del target[key]
+        else:
+            target[key] = 1
+        with pytest.raises(ValueError, match=key):
+            parse_report_json(json.dumps(payload))
+
+
+def test_readme_sample_run_is_the_golden_report():
+    readme = README.read_text()
+    block = readme.split("A run looks like this:\n\n```text\n", 1)[1]
+    sample = block.split("\n...\n", 1)[0].splitlines()
+    golden = (GOLDEN_DIR / "report.txt").read_text().splitlines()
+    assert len(sample) > 1
+    assert [line for line in sample if line not in golden] == []
 
 
 class TestInternalConsistency:
