@@ -75,7 +75,7 @@ EIA_EXCLUDED_NAMES = {
 NEGLIGIBLE_NEGATIVE = -1e-6
 
 FOSSIL_FUELS = ("coal", "oil", "natural_gas")
-# every sum over fuels runs in this order, so its floats never change
+# sums over fuels run in this order; another order changes their last bits
 FUELS = FOSSIL_FUELS + ("low_carbon",)
 
 WORLD_MIX = (0.287, 0.229, 0.339, 0.144)
@@ -141,7 +141,7 @@ class EnergyMix(_PerFuel):
             raise ValueError(f"mix fractions sum to {total}, expected ~1")
 
     def weighted_kg_per_mwh(self, intensities: "FuelIntensities") -> float:
-        # a loop, not sum(): sum() of floats rounds differently from Python 3.12
+        # a loop, not sum(): from Python 3.12 sum() compensates float rounding
         total = 0.0
         for fuel in FUELS:
             total += getattr(self, fuel) * getattr(intensities, fuel)
