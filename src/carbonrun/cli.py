@@ -10,6 +10,7 @@ Wrapper-own failures use exit 2 (usage and environment problems) and 127
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import os
 import signal
@@ -57,10 +58,12 @@ def _exit(code: int) -> NoReturn:
     Importing the CLI leaves ~18k GC-tracked objects (11k of them in a bare
     interpreter; the rest argparse, urllib, dataclasses and this package)
     that interpreter shutdown would scan in full collections, milliseconds
-    after the child has exited.  Freezing them first
-    skips that scan; atexit handlers and stdio flushing still run, which
-    `os._exit` would skip.  Freezing any earlier would pin garbage that the
-    run could otherwise reuse.
+    after the child has exited.  Freezing them first skips that scan.
+    Freezing any earlier would pin garbage that the run could otherwise
+    reuse.  `main` keeps the freeze for callers that run it in-process and
+    then shut the interpreter down in full; the `carbonrun` program
+    (`program`) skips shutdown instead: it runs the atexit handlers, flushes
+    stdout and stderr, and ends with `os._exit`.
     """
     gc.freeze()
     sys.exit(code)
@@ -406,5 +409,34 @@ def main(args: list[str] | None = None, prog_name: str = "carbonrun") -> NoRetur
     _exit(code)
 
 
+def program() -> NoReturn:
+    """The `carbonrun` program: `main`, then exit without tearing the heap down.
+
+    Once `main` is done the report file is closed and the sampler thread is
+    joined, so interpreter shutdown would only free objects the kernel frees
+    anyway, and it costs more than the report itself.  The exit code is the
+    one `sys.exit` would give; atexit handlers still run and stdout and stderr
+    are flushed, but finalizers of objects still alive do not run.  carbonrun
+    starts no non-daemon thread, which shutdown would wait for.
+    """
+    try:
+        main()
+    except SystemExit as exc:
+        code = exc.code
+    if code is None:
+        code = 0
+    elif not isinstance(code, int):
+        print(code, file=sys.stderr)
+        code = 1
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None and not stream.closed:
+                stream.flush()
+        except OSError:
+            code = 120  # as the interpreter's own exit does when a flush fails
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    main()
+    program()

@@ -313,9 +313,15 @@ def _schema(cls: type) -> tuple[dict[str, object], frozenset[str]]:
 
 
 def _decode(cls, data):
-    """Build `cls` from its JSON form: dataclasses, `tuple[X, ...]` and scalars."""
+    """Build `cls` from its JSON form: dataclasses, `tuple[X, ...]` and scalars.
+
+    A scalar must have its field's type, except that an int stands for a
+    float; a bool is never a number.
+    """
     if cls in _SCALARS:
-        return data
+        if type(data) is cls or (cls is float and type(data) is int):
+            return data
+        raise ValueError(f"expected {cls.__name__}, got {data!r}")
     if get_origin(cls) is tuple:
         if not isinstance(data, list):
             raise ValueError(f"expected a list, got {data!r}")
@@ -338,7 +344,7 @@ def _decode(cls, data):
 
 def parse_report_json(data: bytes | str) -> ReportDocument:
     """Read a rendered JSON report back; raises ValueError on any unknown or
-    missing key."""
+    missing key and on a value of the wrong type."""
     return _decode(ReportDocument, json.loads(data))
 
 

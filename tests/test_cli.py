@@ -1,8 +1,11 @@
 import csv
 import functools
 import gc
+import importlib
 import json
 import os
+import re
+import runpy
 import signal
 import subprocess
 import sys
@@ -10,21 +13,26 @@ import time
 
 import pytest
 
-from carbonrun import cli, traces
+from carbonrun import cli, report, traces
 
 from conftest import constant_trace, short_tail_trace
 from test_traces import MALFORMED_TRACES, NON_UTF8_TRACE
 
 CLI = [sys.executable, "-m", "carbonrun"]
+# `cli.main` as a program of its own, ending in a full interpreter shutdown
+MAIN = [sys.executable, "-c", "from carbonrun.cli import main; main()"]
+PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
 
 
-def run_cli(*args, env_extra=None, timeout=60):
+def run_cli(*args, env_extra=None, timeout=60, entry=CLI, text=True):
     env = dict(os.environ)
     env.pop("ENERGYUSAGE_REGION", None)
+    # stdout into a pipe is block-buffered, as it is for most users
+    env.pop("PYTHONUNBUFFERED", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [*CLI, *args], capture_output=True, text=True, env=env, timeout=timeout
+        [*entry, *args], capture_output=True, text=text, env=env, timeout=timeout
     )
 
 
@@ -320,6 +328,78 @@ class TestExitFreeze:
         assert run(out) == unfrozen
         assert report_written == [True]
         assert gc.get_freeze_count() > 0
+
+
+class TestProgramEntry:
+    def test_script_and_dash_m_call_the_same_function(self, monkeypatch):
+        # read as text: tomllib is not in Python 3.10
+        with open(PYPROJECT) as fh:
+            scripts = fh.read().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        module, name = re.search(r'^carbonrun = "([\w.]+):(\w+)"$', scripts, re.M).groups()
+        called = []
+        monkeypatch.setattr(cli, "program", lambda: called.append("program"))
+        runpy.run_module("carbonrun", run_name="__main__")
+        assert called == ["program"]
+        assert getattr(importlib.import_module(module), name) is cli.program
+
+    def test_atexit_handler_registered_before_the_entry_runs(self, trace_file):
+        script = (
+            "import atexit, sys; "
+            "atexit.register(print, 'handler ran'); "
+            "from carbonrun.cli import program; program()"
+        )
+        proc = run_cli(
+            "run", "--trace", trace_file, "--offline", "--", "true",
+            entry=[sys.executable, "-c", script],
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "handler ran\n"
+        assert "Energy Usage Report" in proc.stderr
+
+    def test_every_byte_of_the_report_reaches_a_pipe(self, trace_file):
+        proc = run_cli(
+            "run", "--trace", trace_file, "--offline", "--format", "json",
+            "--report-to", "stdout", "--", "true", text=False,
+        )
+        assert proc.returncode == 0
+        assert report.render_json(report.parse_report_json(proc.stdout)) == proc.stdout
+
+    @pytest.mark.parametrize(
+        "args,code",
+        [
+            (("run", "--", "sh", "-c", "exit 3"), 3),
+            (("run", "--no-such-flag", "--", "true"), 2),
+            (("run", "--", "/no/such/binary-xyz"), 127),
+            (("run", "--", "sh", "-c", "kill -TERM $$"), 128 + signal.SIGTERM),
+        ],
+        ids=["child-3", "usage", "spawn", "sigterm"],
+    )
+    def test_exit_codes_match_main(self, trace_file, args, code):
+        command, *rest = args
+        full = (command, "--trace", trace_file, "--offline", *rest)
+        program, main = run_cli(*full), run_cli(*full, entry=MAIN)
+        assert (program.returncode, main.returncode) == (code, code)
+        assert program.stdout == main.stdout
+
+    def test_version_matches_main(self):
+        program, main = run_cli("--version"), run_cli("--version", entry=MAIN)
+        assert (program.returncode, main.returncode) == (0, 0)
+        assert program.stdout == main.stdout == "carbonrun, version 0.1.0\n"
+
+    def test_json_report_equals_the_one_main_writes(self, trace_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(gc, "freeze", lambda: None)
+        args = ["run", "--trace", trace_file, "--offline", "--location", "wyoming",
+                "--format", "json", "--out"]
+        with pytest.raises(SystemExit) as exited:
+            cli.main([*args, str(tmp_path / "main.json"), "--", "true"])
+        assert exited.value.code == 0
+        proc = run_cli(*args, str(tmp_path / "program.json"), "--", "true")
+        assert proc.returncode == 0, proc.stderr
+        main, program = (
+            json.loads((tmp_path / name).read_bytes()) for name in ("main.json", "program.json"))
+        main.pop("generated_at")
+        program.pop("generated_at")
+        assert program == main
 
 
 class TestRegionsCommand:

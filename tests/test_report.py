@@ -181,6 +181,32 @@ class TestJsonRendering:
         with pytest.raises(ValueError, match=key):
             parse_report_json(json.dumps(payload))
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("summary", "kg_co2", "lots"),
+            ("header", "arguments", ["a", ["b"]]),
+            ("header", "command", None),
+            ("readings", "measured_kwh", True),
+            ("readings", "negative_clamped", 0),
+            ("mix", "coal", "0.5"),
+        ],
+    )
+    def test_parse_rejects_a_value_of_the_wrong_type(self, section, key, value):
+        payload = json.loads((GOLDEN_DIR / "report.json").read_bytes())
+        payload[section][key] = value
+        with pytest.raises(ValueError, match="expected"):
+            parse_report_json(json.dumps(payload))
+
+    def test_parse_takes_an_int_for_a_float(self, doc):
+        payload = json.loads(render_json(doc))
+        payload["summary"]["kg_co2"] = 3
+        assert parse_report_json(json.dumps(payload)).summary.kg_co2 == 3
+
+    def test_golden_round_trips(self):
+        golden = (GOLDEN_DIR / "report.json").read_bytes()
+        assert render_json(parse_report_json(golden)) == golden
+
 
 def test_readme_sample_run_is_the_golden_report():
     readme = README.read_text()
