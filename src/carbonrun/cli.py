@@ -431,8 +431,7 @@ def program() -> NoReturn:
     atexit._run_exitfuncs()
     for stream in (sys.stdout, sys.stderr):
         try:
-            if stream is not None and not stream.closed:
-                stream.flush()
+            stream.flush()
         except OSError:
             code = 120  # as the interpreter's own exit does when a flush fails
     os._exit(code)

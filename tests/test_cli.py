@@ -386,6 +386,19 @@ class TestProgramEntry:
         assert (program.returncode, main.returncode) == (0, 0)
         assert program.stdout == main.stdout == "carbonrun, version 0.1.0\n"
 
+    def test_help_into_a_closed_pipe_exits_120_as_main_does(self):
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        codes, errors = [], []
+        for entry in (CLI, MAIN):
+            proc = subprocess.Popen([*entry, "--help"], stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, env=env, text=True)
+            proc.stdout.close()
+            errors.append(proc.communicate(timeout=60)[1])
+            codes.append(proc.returncode)
+        assert codes == [120, 120]
+        assert "Traceback" not in errors[0]
+
     def test_json_report_equals_the_one_main_writes(self, trace_file, tmp_path, monkeypatch):
         monkeypatch.setattr(gc, "freeze", lambda: None)
         args = ["run", "--trace", trace_file, "--offline", "--location", "wyoming",
