@@ -1,6 +1,7 @@
 """Regional electricity data: fuel mixes, emission rates, region lookup.
 
-Two embedded snapshots (2016 vintage) drive everything:
+Two embedded UTF-8 CSV snapshots (2016 vintage), either of which a user's
+file may replace, drive everything:
 
 * `us_grid_2016.csv`: per-state fuel mix, the direct output emission rate in
   lbs CO2 per MWh, and per-fuel generation/emissions used to derive
@@ -11,7 +12,8 @@ Two embedded snapshots (2016 vintage) drive everything:
 
 Three synthetic aggregate regions are built at load time: us-average
 (generation weighted), europe-average (unweighted mean mix) and
-world-average (pinned global mix and rate).
+world-average (pinned global mix and rate).  Each region group is ranked
+once, at load; a group left with no member is a `SchemaError` there.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import io
 import math
 import os
 import re
+from collections.abc import Container, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -30,31 +33,21 @@ KG_PER_LB = 0.453592
 US_DATA_FILE = "us_grid_2016.csv"
 INTL_DATA_FILE = "intl_grid_2016.csv"
 
+# each in the order of FUELS, or of FOSSIL_FUELS for the per-fuel columns
+MIX_COLUMNS = ("coal_frac", "oil_frac", "gas_frac", "lowcarbon_frac")
+GENERATION_COLUMNS = ("coal_gen_mwh", "oil_gen_mwh", "gas_gen_mwh")
+EMISSIONS_COLUMNS = ("coal_emit_kt", "oil_emit_kt", "gas_emit_kt")
+
 EGRID_HEADER = [
     "state_id",
     "state_name",
-    "coal_frac",
-    "oil_frac",
-    "gas_frac",
-    "lowcarbon_frac",
+    *MIX_COLUMNS,
     "output_rate_lbs_per_mwh",
-    "coal_gen_mwh",
-    "oil_gen_mwh",
-    "gas_gen_mwh",
-    "coal_emit_kt",
-    "oil_emit_kt",
-    "gas_emit_kt",
+    *GENERATION_COLUMNS,
+    *EMISSIONS_COLUMNS,
 ]
 
-EIA_HEADER = [
-    "country_id",
-    "country_name",
-    "is_europe",
-    "coal_frac",
-    "oil_frac",
-    "gas_frac",
-    "lowcarbon_frac",
-]
+EIA_HEADER = ["country_id", "country_name", "is_europe", *MIX_COLUMNS]
 
 # Aggregate entities and sub-national trade zones that would double-count
 # or misrepresent present-day countries if kept.
@@ -83,7 +76,8 @@ WORLD_RATE_LBS_PER_MWH = 1600.6
 
 
 class SchemaError(Exception):
-    """A snapshot CSV does not match the expected layout or value ranges."""
+    """A data file is not UTF-8 text, or does not match the expected layout
+    or value ranges."""
 
 
 class UnknownRegion(Exception):
@@ -92,12 +86,6 @@ class UnknownRegion(Exception):
         if suggestions:
             msg += "; did you mean: " + ", ".join(suggestions)
         super().__init__(msg)
-        self.key = key
-        self.suggestions = suggestions
-
-
-class EmptyGroup(Exception):
-    """A region group has no members to rank."""
 
 
 class ZeroGeneration(Exception):
@@ -180,6 +168,10 @@ class RegionRecord:
     group: RegionGroup | None = None
 
 
+# the lowest, median and highest emission-intensity members of a group
+Extremes = tuple[RegionRecord, RegionRecord, RegionRecord]
+
+
 @dataclass(frozen=True)
 class StateRow:
     """One parsed US snapshot row, keeping the per-fuel columns."""
@@ -189,7 +181,8 @@ class StateRow:
     emissions_kt: dict[str, float]
 
 
-def _parse_float(raw: str, column: str, lineno: int) -> float:
+def _parse_float(fields: dict[str, str], column: str, lineno: int) -> float:
+    raw = fields[column]
     try:
         value = float(raw)
     except ValueError:
@@ -199,89 +192,85 @@ def _parse_float(raw: str, column: str, lineno: int) -> float:
     return value
 
 
-def _parse_frac(raw: str, column: str, lineno: int, clamp: bool = False) -> float:
-    value = _parse_float(raw, column, lineno)
-    if clamp and NEGLIGIBLE_NEGATIVE < value < 0.0:
-        value = 0.0
-    if not 0.0 <= value <= 1.0:
-        raise SchemaError(f"line {lineno}: {column}={value} outside [0, 1]")
+def _parse_nonnegative(fields: dict[str, str], column: str, lineno: int) -> float:
+    value = _parse_float(fields, column, lineno)
+    if value < 0:
+        raise SchemaError(f"line {lineno}: negative {column} {value}")
     return value
 
 
-def _check_header(actual: list[str] | None, expected: list[str]) -> None:
-    if actual is None or [c.strip() for c in actual] != expected:
+def _parse_mix(fields: dict[str, str], lineno: int, clamp: bool = False) -> EnergyMix:
+    """The row's mix; `clamp` zeroes negligibly negative shares first."""
+    fracs = {}
+    for fuel, column in zip(FUELS, MIX_COLUMNS):
+        value = _parse_float(fields, column, lineno)
+        if clamp and NEGLIGIBLE_NEGATIVE < value < 0.0:
+            value = 0.0
+        fracs[fuel] = value
+    try:
+        return EnergyMix(**fracs)
+    except ValueError as exc:
+        raise SchemaError(f"line {lineno}: {exc}") from None
+
+
+def _snapshot_rows(
+    text: str, header: list[str], kind: str, excluded: Container[str] = ()
+) -> Iterator[tuple[int, str, str, dict[str, str]]]:
+    """Yield (line number, id, name, fields by column) for each row of a
+    snapshot CSV whose first two columns are a region's id and name.
+
+    Blank lines are skipped and rows named in `excluded` are dropped before
+    the duplicate-id check.  Ids are lower-cased.
+    """
+    rows = csv.reader(io.StringIO(text))
+    actual = next(rows, None)
+    if actual is None or [c.strip() for c in actual] != header:
         raise SchemaError(
-            f"bad header: expected {','.join(expected)}, got "
+            f"bad header: expected {','.join(header)}, got "
             f"{','.join(actual) if actual else '<empty file>'}"
         )
-
-
-def _check_mix_sum(mix: dict[str, float], lineno: int) -> None:
-    total = sum(mix.values())
-    if not 0.99 <= total <= 1.01:
-        raise SchemaError(f"line {lineno}: mix fractions sum to {total:.4f}")
+    seen_ids: set[str] = set()
+    for lineno, row in enumerate(rows, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise SchemaError(
+                f"line {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        region_id, name = row[0].strip().lower(), row[1].strip()
+        if name.lower() in excluded:
+            continue
+        if not region_id or not name:
+            raise SchemaError(f"line {lineno}: empty {kind} id or name")
+        if region_id in seen_ids:
+            raise SchemaError(f"line {lineno}: duplicate {kind} id {region_id!r}")
+        seen_ids.add(region_id)
+        yield lineno, region_id, name, dict(zip(header, row))
 
 
 def parse_egrid(text: str) -> list[StateRow]:
     """Parse the US state snapshot CSV into validated rows."""
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    _check_header(rows[0] if rows else None, EGRID_HEADER)
     out = []
-    seen_ids: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(EGRID_HEADER):
-            raise SchemaError(
-                f"line {lineno}: expected {len(EGRID_HEADER)} fields, got {len(row)}"
-            )
-        rec = dict(zip(EGRID_HEADER, row))
-        state_id = rec["state_id"].strip().lower()
-        name = rec["state_name"].strip()
-        if not state_id or not name:
-            raise SchemaError(f"line {lineno}: empty state id or name")
-        if state_id in seen_ids:
-            raise SchemaError(f"line {lineno}: duplicate state id {state_id!r}")
-        seen_ids.add(state_id)
-        fracs = {
-            "coal": _parse_frac(rec["coal_frac"], "coal_frac", lineno),
-            "oil": _parse_frac(rec["oil_frac"], "oil_frac", lineno),
-            "natural_gas": _parse_frac(rec["gas_frac"], "gas_frac", lineno),
-            "low_carbon": _parse_frac(rec["lowcarbon_frac"], "lowcarbon_frac", lineno),
+    for lineno, state_id, name, fields in _snapshot_rows(text, EGRID_HEADER, "state"):
+        mix = _parse_mix(fields, lineno)
+        rate = _parse_nonnegative(fields, "output_rate_lbs_per_mwh", lineno)
+        generation = {
+            fuel: _parse_nonnegative(fields, column, lineno)
+            for fuel, column in zip(FOSSIL_FUELS, GENERATION_COLUMNS)
         }
-        _check_mix_sum(fracs, lineno)
-        rate = _parse_float(
-            rec["output_rate_lbs_per_mwh"], "output_rate_lbs_per_mwh", lineno
-        )
-        if rate < 0:
-            raise SchemaError(f"line {lineno}: negative output rate {rate}")
-        generation = {}
-        emissions = {}
-        for fuel, gen_col, emit_col in (
-            ("coal", "coal_gen_mwh", "coal_emit_kt"),
-            ("oil", "oil_gen_mwh", "oil_emit_kt"),
-            ("natural_gas", "gas_gen_mwh", "gas_emit_kt"),
-        ):
-            gen = _parse_float(rec[gen_col], gen_col, lineno)
-            emit = _parse_float(rec[emit_col], emit_col, lineno)
-            if gen < 0:
-                raise SchemaError(f"line {lineno}: negative {gen_col}")
-            if emit < 0:
-                raise SchemaError(f"line {lineno}: negative {emit_col}")
-            generation[fuel] = gen
-            emissions[fuel] = emit
+        emissions = {
+            fuel: _parse_nonnegative(fields, column, lineno)
+            for fuel, column in zip(FOSSIL_FUELS, EMISSIONS_COLUMNS)
+        }
         record = RegionRecord(
             id=state_id,
             display_name=name,
             kind=RegionKind.US_STATE,
-            mix=EnergyMix(**fracs),
+            mix=mix,
             direct_rate_lbs_per_mwh=rate,
             group=RegionGroup.US,
         )
         out.append(StateRow(record, generation, emissions))
-    if not out:
-        raise SchemaError("state snapshot has a header but no rows")
     return out
 
 
@@ -292,56 +281,26 @@ def parse_eia(text: str) -> list[RegionRecord]:
     trade zones are dropped; negligibly negative shares from upstream
     rounding are clamped to zero.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    _check_header(rows[0] if rows else None, EIA_HEADER)
     out = []
-    seen_ids: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(EIA_HEADER):
-            raise SchemaError(
-                f"line {lineno}: expected {len(EIA_HEADER)} fields, got {len(row)}"
-            )
-        rec = dict(zip(EIA_HEADER, row))
-        name = rec["country_name"].strip()
-        if name.lower() in EIA_EXCLUDED_NAMES:
-            continue
-        country_id = rec["country_id"].strip().lower()
-        if not country_id or not name:
-            raise SchemaError(f"line {lineno}: empty country id or name")
-        if country_id in seen_ids:
-            raise SchemaError(f"line {lineno}: duplicate country id {country_id!r}")
-        seen_ids.add(country_id)
-        is_europe_raw = rec["is_europe"].strip().lower()
+    rows = _snapshot_rows(text, EIA_HEADER, "country", EIA_EXCLUDED_NAMES)
+    for lineno, country_id, name, fields in rows:
+        is_europe_raw = fields["is_europe"].strip().lower()
         if is_europe_raw in ("true", "1", "yes"):
             is_europe = True
         elif is_europe_raw in ("false", "0", "no"):
             is_europe = False
         else:
-            raise SchemaError(f"line {lineno}: is_europe={rec['is_europe']!r}")
-        fracs = {
-            "coal": _parse_frac(rec["coal_frac"], "coal_frac", lineno, clamp=True),
-            "oil": _parse_frac(rec["oil_frac"], "oil_frac", lineno, clamp=True),
-            "natural_gas": _parse_frac(rec["gas_frac"], "gas_frac", lineno, clamp=True),
-            "low_carbon": _parse_frac(
-                rec["lowcarbon_frac"], "lowcarbon_frac", lineno, clamp=True
-            ),
-        }
-        _check_mix_sum(fracs, lineno)
+            raise SchemaError(f"line {lineno}: is_europe={fields['is_europe']!r}")
         out.append(
             RegionRecord(
                 id=country_id,
                 display_name=name,
                 kind=RegionKind.COUNTRY,
-                mix=EnergyMix(**fracs),
+                mix=_parse_mix(fields, lineno, clamp=True),
                 direct_rate_lbs_per_mwh=None,
                 group=RegionGroup.EUROPE if is_europe else RegionGroup.GLOBAL,
             )
         )
-    if not out:
-        raise SchemaError("country snapshot has a header but no rows")
     return out
 
 
@@ -389,9 +348,8 @@ def effective_intensity_kg_per_kwh(
 class DatasetSnapshot:
     regions: dict[str, RegionRecord]
     intensities: FuelIntensities
-    vintage: str
-    provenance: tuple[str, ...]
-    _index: dict[str, str] = field(repr=False, default_factory=dict)
+    _index: dict[str, str] = field(repr=False)
+    _extremes: dict[RegionGroup, Extremes] = field(repr=False)
 
     @classmethod
     def load(
@@ -399,17 +357,30 @@ class DatasetSnapshot:
         us_path: str | None = None,
         intl_path: str | None = None,
     ) -> "DatasetSnapshot":
-        """Build the lookup snapshot from packaged (or user-supplied) CSVs."""
+        """Build the lookup snapshot from packaged (or user-supplied) CSVs.
+
+        Raises SchemaError when a file is malformed or a region group is
+        left with no member.
+        """
         states = parse_egrid(read_data(us_path, US_DATA_FILE))
         countries = parse_eia(read_data(intl_path, INTL_DATA_FILE))
 
         regions: dict[str, RegionRecord] = {}
-        for row in states:
-            regions[row.record.id] = row.record
-        for rec in countries:
+        for rec in [row.record for row in states] + countries:
             if rec.id in regions:
                 raise SchemaError(f"region id {rec.id!r} appears in both snapshots")
             regions[rec.id] = rec
+
+        extremes = {}
+        for group in RegionGroup:
+            ranked = sorted(
+                (r for r in regions.values() if r.group is group),
+                key=lambda r: (effective_intensity_kg_per_kwh(r), r.id),
+            )
+            if not ranked:
+                raise SchemaError(f"no regions in group {group.value!r}")
+            extremes[group] = ranked[0], ranked[(len(ranked) - 1) // 2], ranked[-1]
+
         for agg in _build_aggregates(states, countries):
             regions[agg.id] = agg
 
@@ -423,12 +394,8 @@ class DatasetSnapshot:
         return cls(
             regions=regions,
             intensities=CANONICAL_INTENSITIES,
-            vintage="2016",
-            provenance=(
-                "us_grid_2016.csv: state output emission rates and fuel columns",
-                "intl_grid_2016.csv: country generation mixes",
-            ),
             _index=index,
+            _extremes=extremes,
         )
 
     def lookup(self, key: str) -> RegionRecord:
@@ -457,31 +424,24 @@ class DatasetSnapshot:
     def members(self, group: RegionGroup) -> list[RegionRecord]:
         return [r for r in self.regions.values() if r.group is group]
 
-    def extremes(
-        self, group: RegionGroup
-    ) -> tuple[RegionRecord, RegionRecord, RegionRecord]:
+    def extremes(self, group: RegionGroup) -> Extremes:
         """Lowest, median and highest emission-intensity members of a group.
 
         Median is the lower middle for even-sized groups; ties order by
         region id so the result never depends on dict iteration order.
         """
-        members = self.members(group)
-        if not members:
-            raise EmptyGroup(f"no regions in group {group.value!r}")
-        ranked = sorted(
-            members,
-            key=lambda r: (effective_intensity_kg_per_kwh(r, self.intensities), r.id),
-        )
-        return ranked[0], ranked[(len(ranked) - 1) // 2], ranked[-1]
+        return self._extremes[group]
 
 
 def read_data(path: str | None, name: str) -> str:
-    """The text of `path`, or of the packaged `data/<name>` when `path` is None."""
-    if path is not None:
-        with open(path) as fh:
+    """The UTF-8 text of `path`, or of the packaged `data/<name>` if it is None."""
+    if path is None:
+        path = os.path.join(os.path.dirname(__file__), "data", name)
+    with open(path, encoding="utf-8") as fh:
+        try:
             return fh.read()
-    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as fh:
-        return fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def _build_aggregates(
@@ -524,21 +484,21 @@ def _build_aggregates(
             )
         )
 
+    # load has checked that Europe has members
     europe = [c for c in countries if c.group is RegionGroup.EUROPE]
-    if europe:
-        mean_mix = {
-            fuel: sum(getattr(c.mix, fuel) for c in europe) / len(europe)
-            for fuel in FUELS
-        }
-        aggregates.append(
-            RegionRecord(
-                id="europe-average",
-                display_name="Europe (average)",
-                kind=RegionKind.AGGREGATE,
-                mix=EnergyMix(**mean_mix),
-                direct_rate_lbs_per_mwh=None,
-            )
+    mean_mix = {
+        fuel: sum(getattr(c.mix, fuel) for c in europe) / len(europe)
+        for fuel in FUELS
+    }
+    aggregates.append(
+        RegionRecord(
+            id="europe-average",
+            display_name="Europe (average)",
+            kind=RegionKind.AGGREGATE,
+            mix=EnergyMix(**mean_mix),
+            direct_rate_lbs_per_mwh=None,
         )
+    )
     return aggregates
 
 

@@ -264,10 +264,8 @@ def fold_columns(
     return kept_uj, len(timestamps) - 1 - len(dropped), len(dropped), seconds
 
 
-def read_gpu_power(
-    interval_s: float = 1.0, command: list[str] | None = None
-) -> PowerSample | None:
-    """Sum instantaneous GPU board power across all GPUs, or None.
+def read_gpu_power(command: list[str] | None = None) -> float | None:
+    """Instantaneous GPU board power in watts summed across all GPUs, or None.
 
     Any failure (driver missing, tool absent, unparseable output) means the
     GPU contribution is simply unavailable; it never aborts a measurement.
@@ -296,7 +294,7 @@ def read_gpu_power(
         seen = True
     if not seen or total < 0:
         return None
-    return PowerSample(watts=total, interval_s=interval_s)
+    return total
 
 
 class PowercapSource:
@@ -428,8 +426,7 @@ class SamplingSession:
             return False
         gpu_watts = 0.0
         if self._config.gpu_enabled:
-            sample = read_gpu_power(interval_s=self._config.sample_interval_s)
-            gpu_watts = sample.watts if sample else 0.0
+            gpu_watts = read_gpu_power() or 0.0
         self._integral.add(instant, gpu_watts)
         return True
 

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from carbonrun import cli, report, traces
+from carbonrun import cli, emissions, griddata, report, traces
 
 from conftest import constant_trace, short_tail_trace
 from test_traces import MALFORMED_TRACES, NON_UTF8_TRACE
@@ -48,6 +48,23 @@ def measured_run(trace_file, *extra, child=("true",), fmt="json"):
         "run", "--trace", trace_file, "--offline", "--format", fmt,
         "--report-to", "stdout", *extra, "--", *child,
     )
+
+
+def latin1_data_file(tmp_path, name):
+    """The packaged data file `name` with its first data row's second field
+    starting with an e-acute saved in Latin-1, as in a name like "Curaçao"."""
+    header, first, rest = griddata.read_data(None, name).split("\n", 2)
+    path = tmp_path / name
+    text = "\n".join([header, first.replace(",", ",\xe9", 1), rest])
+    path.write_bytes(text.encode("latin-1"))
+    return str(path)
+
+
+def no_europe_data_file(tmp_path):
+    """A country snapshot whose only country is outside Europe."""
+    path = tmp_path / "no-europe.csv"
+    path.write_text(",".join(griddata.EIA_HEADER) + "\nzz,Testland,false,0.5,0.1,0.2,0.2\n")
+    return str(path)
 
 
 class TestExitCodes:
@@ -128,6 +145,28 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("carbonrun: error: ")
         assert "Traceback" not in proc.stderr
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("flag,name", [
+        ("--us-data", griddata.US_DATA_FILE),
+        ("--intl-data", griddata.INTL_DATA_FILE),
+        ("--equivalencies", emissions.EQUIV_DATA_FILE),
+    ])
+    def test_non_utf8_data_file_exits_2_before_child(self, trace_file, tmp_path, flag, name):
+        data = latin1_data_file(tmp_path, name)
+        marker = tmp_path / "child-ran"
+        proc = measured_run(trace_file, flag, data, child=("touch", str(marker)))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"carbonrun: error: {data} is not UTF-8 text: invalid continuation byte\n")
+        assert not marker.exists()
+
+    def test_empty_region_group_exits_2_before_child(self, trace_file, tmp_path):
+        marker = tmp_path / "child-ran"
+        proc = measured_run(trace_file, "--intl-data", no_europe_data_file(tmp_path),
+                            child=("sh", "-c", f"touch '{marker}'"))
+        assert proc.returncode == 2
+        assert proc.stderr == "carbonrun: error: no regions in group 'europe'\n"
         assert not marker.exists()
 
     def test_defect_on_the_last_line_of_a_long_trace_exits_2_before_child(self, tmp_path):
@@ -441,6 +480,23 @@ class TestRegionsCommand:
     def test_extremes_unknown_group(self):
         proc = run_cli("regions", "--extremes", "mars")
         assert proc.returncode == 2
+
+    def test_extremes_of_an_empty_group_exits_2(self, tmp_path):
+        proc = run_cli("regions", "--extremes", "europe",
+                       "--intl-data", no_europe_data_file(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr == "carbonrun: error: no regions in group 'europe'\n"
+
+    @pytest.mark.parametrize("flag,name", [
+        ("--us-data", griddata.US_DATA_FILE),
+        ("--intl-data", griddata.INTL_DATA_FILE),
+    ])
+    def test_non_utf8_data_file_exits_2(self, tmp_path, flag, name):
+        data = latin1_data_file(tmp_path, name)
+        proc = run_cli("regions", flag, data)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"carbonrun: error: {data} is not UTF-8 text: invalid continuation byte\n")
 
 
 class TestBenchCommand:

@@ -9,7 +9,6 @@ from carbonrun.griddata import (
     EGRID_HEADER,
     EIA_HEADER,
     DatasetSnapshot,
-    EmptyGroup,
     EnergyMix,
     FuelIntensities,
     RegionGroup,
@@ -138,6 +137,7 @@ class TestParseEgrid:
         "mutation",
         [
             GOOD_STATE.replace("0.5,0.1", "1.5,0.1"),           # frac > 1
+            GOOD_STATE.replace("0.5,0.1", "0.5,-0.01"),         # negative frac
             GOOD_STATE.replace("0.2,0.2,1000", "0.2,0.0,1000"),  # sum 0.8
             GOOD_STATE.replace("1000.0", "-5.0"),                # negative rate
             GOOD_STATE.replace("500000", "-500000"),             # negative gen
@@ -146,7 +146,7 @@ class TestParseEgrid:
         ],
     )
     def test_bad_rows(self, mutation):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="^line 2: "):
             parse_egrid(us_csv(mutation))
 
     def test_duplicate_state_id(self):
@@ -180,7 +180,7 @@ class TestParseEia:
         assert recs[0].mix.oil == 0.0
 
     def test_real_negative_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="^line 2: "):
             parse_eia(intl_csv("zz,Testland,false,0.5,-0.01,0.31,0.2"))
 
     def test_bad_is_europe(self):
@@ -321,6 +321,7 @@ class TestExtremes:
                 "bb,Beeland,false,0.5,0.1,0.2,0.2",
                 "aa,Ayland,false,0.5,0.1,0.2,0.2",
                 "cc,Sealand,false,0.9,0.05,0.05,0.0",
+                "eu,Europa,true,0.5,0.1,0.2,0.2",
             )
         )
         snap = DatasetSnapshot.load(str(us), str(intl))
@@ -335,7 +336,7 @@ class TestExtremes:
             f"c{i},Land{i},false,{frac:.4f},0.0,0.0,{1 - frac:.4f}"
             for i, frac in enumerate((0.1, 0.2, 0.3, 0.4))
         ]
-        intl.write_text(intl_csv(*rows))
+        intl.write_text(intl_csv(*rows, "eu,Europa,true,0.5,0.1,0.2,0.2"))
         snap = DatasetSnapshot.load(str(us), str(intl))
         low, median, high = snap.extremes(RegionGroup.GLOBAL)
         # four members: lower-middle is index 1
@@ -346,6 +347,5 @@ class TestExtremes:
         intl = tmp_path / "intl.csv"
         us.write_text(us_csv(GOOD_STATE))
         intl.write_text(intl_csv("zz,Testland,true,0.5,0.1,0.2,0.2"))
-        snap = DatasetSnapshot.load(str(us), str(intl))
-        with pytest.raises(EmptyGroup):
-            snap.extremes(RegionGroup.GLOBAL)
+        with pytest.raises(SchemaError, match="no regions in group 'global'"):
+            DatasetSnapshot.load(str(us), str(intl))

@@ -213,9 +213,7 @@ class TestGpu:
 
     def test_sums_one_line_per_gpu(self, tmp_path):
         stub = self.make_stub(tmp_path, "printf '41.73\\n12.27\\n'")
-        sample = read_gpu_power(interval_s=0.5, command=[stub])
-        assert sample.watts == pytest.approx(54.0)
-        assert sample.interval_s == 0.5
+        assert read_gpu_power(command=[stub]) == pytest.approx(54.0)
 
     def test_absent_utility(self):
         assert read_gpu_power(command=["definitely-not-on-path-xyz"]) is None
