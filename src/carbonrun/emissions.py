@@ -41,12 +41,17 @@ class EquivalencyFactors:
         """Load factors from a `key,value,unit,source` table."""
         values = {}
         reader = csv.DictReader(io.StringIO(text))
+        try:
+            fieldnames, rows = reader.fieldnames, list(reader)
+        except csv.Error as exc:
+            # DictReader updates its own line_num only after a row is read
+            raise EquivalencyError(f"line {reader.reader.line_num}: {exc}") from None
         expected = {"key", "value", "unit", "source"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
+        if fieldnames is None or not expected.issubset(fieldnames):
             raise EquivalencyError(
                 f"equivalency table needs columns {sorted(expected)}"
             )
-        for row in reader:
+        for row in rows:
             key = (row["key"] or "").strip()
             if key not in EQUIV_KEYS:
                 continue

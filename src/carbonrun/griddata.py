@@ -220,32 +220,36 @@ def _snapshot_rows(
     snapshot CSV whose first two columns are a region's id and name.
 
     Blank lines are skipped and rows named in `excluded` are dropped before
-    the duplicate-id check.  Ids are lower-cased.
+    the duplicate-id check.  Ids are lower-cased.  A `csv.Error`, such as a
+    field over `csv.field_size_limit()`, is a SchemaError naming its line.
     """
     rows = csv.reader(io.StringIO(text))
-    actual = next(rows, None)
-    if actual is None or [c.strip() for c in actual] != header:
-        raise SchemaError(
-            f"bad header: expected {','.join(header)}, got "
-            f"{','.join(actual) if actual else '<empty file>'}"
-        )
-    seen_ids: set[str] = set()
-    for lineno, row in enumerate(rows, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
+    try:
+        actual = next(rows, None)
+        if actual is None or [c.strip() for c in actual] != header:
             raise SchemaError(
-                f"line {lineno}: expected {len(header)} fields, got {len(row)}"
+                f"bad header: expected {','.join(header)}, got "
+                f"{','.join(actual) if actual else '<empty file>'}"
             )
-        region_id, name = row[0].strip().lower(), row[1].strip()
-        if name.lower() in excluded:
-            continue
-        if not region_id or not name:
-            raise SchemaError(f"line {lineno}: empty {kind} id or name")
-        if region_id in seen_ids:
-            raise SchemaError(f"line {lineno}: duplicate {kind} id {region_id!r}")
-        seen_ids.add(region_id)
-        yield lineno, region_id, name, dict(zip(header, row))
+        seen_ids: set[str] = set()
+        for lineno, row in enumerate(rows, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise SchemaError(
+                    f"line {lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            region_id, name = row[0].strip().lower(), row[1].strip()
+            if name.lower() in excluded:
+                continue
+            if not region_id or not name:
+                raise SchemaError(f"line {lineno}: empty {kind} id or name")
+            if region_id in seen_ids:
+                raise SchemaError(f"line {lineno}: duplicate {kind} id {region_id!r}")
+            seen_ids.add(region_id)
+            yield lineno, region_id, name, dict(zip(header, row))
+    except csv.Error as exc:
+        raise SchemaError(f"line {rows.line_num}: {exc}") from None
 
 
 def parse_egrid(text: str) -> list[StateRow]:

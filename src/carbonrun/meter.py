@@ -2,16 +2,17 @@
 
 The kernel exposes monotonically increasing energy counters (microjoules)
 under /sys/class/powercap/intel-rapl.  Energy is integrated from counter
-deltas: every pair of consecutive whole-machine reads adds the joules its
-counters advanced and the seconds it covers to a running total, and power
-is joules over seconds.  Counters wrap at max_energy_range_uj; a wrapped
-pair is dropped rather than reconstructed, because the counter may have
-wrapped more than once between reads, and `summarize` bridges its time at
-the integrated mean power.  A live run keeps only the previous read, so
-memory stays constant however long the run.  A replayed trace runs in
-virtual time and is integrated while it is read: `fold_columns` folds each
-chunk of its instants with the same pair rule, so a replay, too, keeps only
-the instant that joins one chunk to the next.
+deltas: every pair of consecutive instants, each (timestamp, [counter of
+each domain]), adds the joules its counters advanced and the seconds it
+covers to a running total, and power is joules over seconds.  Counters
+wrap; a pair in which one fell is dropped rather than reconstructed, because
+it may have wrapped more than once between reads, and `summarize` bridges
+its time at the integrated mean power.  The idle baseline and the child's
+run are sampled by one loop (`SamplingSession`), which keeps only the
+previous instant, so memory stays constant however long the run.  A
+replayed trace runs in virtual time and is integrated while it is read:
+`fold_columns` folds each chunk of its instants with the same pair rule, so
+a replay, too, keeps only the instant that joins one chunk to the next.
 """
 
 from __future__ import annotations
@@ -63,14 +64,6 @@ class EmptyProcessSamples(Exception):
     """The measured process exited before a single power sample completed."""
 
 
-@dataclass(frozen=True, slots=True)
-class EnergyCounterReading:
-    domain_id: str
-    energy_uj: int
-    max_range_uj: int
-    timestamp: float  # seconds, monotonic or trace time
-
-
 @dataclass(frozen=True)
 class PowerSample:
     watts: float
@@ -95,13 +88,15 @@ class MeterConfig:
             raise ValueError(
                 f"psu_efficiency must be in (0, 1], got {self.psu_efficiency}"
             )
-        if self.sample_interval_s < MIN_SAMPLE_INTERVAL_S:
-            raise ValueError(
-                f"sample interval {self.sample_interval_s}s is below the "
-                f"{MIN_SAMPLE_INTERVAL_S}s counter update granularity"
-            )
-        if self.baseline_duration_s < 0:
-            raise ValueError("baseline duration cannot be negative")
+        # the ceiling is the longest timeout a lock wait or a thread join
+        # accepts; NaN fails both comparisons
+        for name, value, least in (
+            ("sample interval", self.sample_interval_s, MIN_SAMPLE_INTERVAL_S),
+            ("baseline duration", self.baseline_duration_s, 0.0),
+        ):
+            if not least <= value <= threading.TIMEOUT_MAX:
+                raise ValueError(f"{name} must be between {least}s and "
+                                 f"{threading.TIMEOUT_MAX:g}s, got {value}")
 
 
 @dataclass(frozen=True)
@@ -183,48 +178,6 @@ def enumerate_package_domains(root: str = POWERCAP_ROOT) -> list[str]:
     return domains
 
 
-def read_counter(
-    domain_path: str, max_range_uj: int | None = None
-) -> EnergyCounterReading:
-    """Read one domain's cumulative energy counter (microjoules).
-
-    The counter's range is read from max_energy_range_uj unless the caller
-    already knows it.
-    """
-    timestamp = time.monotonic()
-    energy = _read_int(os.path.join(domain_path, "energy_uj"))
-    if max_range_uj is None:
-        max_range_uj = _read_int(os.path.join(domain_path, "max_energy_range_uj"))
-    return EnergyCounterReading(domain_path, energy, max_range_uj, timestamp)
-
-
-def pair_energy(
-    prev: dict[str, EnergyCounterReading], cur: dict[str, EnergyCounterReading]
-) -> tuple[float, float] | None:
-    """Joules all domains recorded between two whole-machine instants, and
-    the seconds the pair covers (the mean of the per-domain intervals).
-
-    Returns None when the pair must be dropped: a domain wrapped (the wrap
-    count between reads is unknowable, and a partial sum would understate
-    machine energy), a domain vanished, or there is no domain at all.
-    """
-    if not prev:
-        return None
-    delta_uj = 0
-    seconds = 0.0
-    for domain_id, first in prev.items():
-        second = cur.get(domain_id)
-        if second is None:
-            return None
-        if second.timestamp <= first.timestamp:
-            raise ValueError("readings must be in increasing time order")
-        if second.energy_uj < first.energy_uj:
-            return None
-        delta_uj += second.energy_uj - first.energy_uj
-        seconds += second.timestamp - first.timestamp
-    return delta_uj / UJ_PER_J, seconds / len(prev)
-
-
 def _pairs(column: Sequence) -> tuple[Iterator, Iterator]:
     """Iterators over column[j] and column[j + 1] for every j, uncopied."""
     return iter(column), islice(column, 1, None)
@@ -235,7 +188,7 @@ def fold_columns(
 ) -> tuple[int, int, int, Iterator[float]]:
     """Integrate every pair of consecutive instants, given the instants'
     timestamps and one counter column (µJ) per domain (at least one), with
-    the pair rule of `pair_energy`.
+    the pair rule of `EnergyIntegral.add`.
 
     Returns the kept µJ, the numbers of kept and dropped pairs, and the kept
     seconds as terms whose exact sum (`math.fsum`) they are: every pair's
@@ -298,29 +251,28 @@ def read_gpu_power(command: list[str] | None = None) -> float | None:
 
 
 class PowercapSource:
-    """Live counter source reading every package domain per instant.
-
-    A domain's max_energy_range_uj is fixed, so it is read once here and an
-    instant reads one file per domain.
-    """
+    """Live counter source: an instant is (`time.monotonic()`, [energy_uj
+    of each domain, in `enumerate_package_domains` order]).  Every counter
+    is also read once here, so one that cannot be read stops the run before
+    the child starts."""
 
     virtual_time = False
 
     def __init__(self, root: str = POWERCAP_ROOT):
-        self._max_ranges = {
-            path: _read_int(os.path.join(path, "max_energy_range_uj"))
-            for path in enumerate_package_domains(root)
-        }
+        self._paths = [os.path.join(d, "energy_uj") for d in enumerate_package_domains(root)]
+        for path in self._paths:
+            _read_int(path)
 
-    def next_instant(self) -> dict[str, EnergyCounterReading] | None:
-        return {d: read_counter(d, r) for d, r in self._max_ranges.items()}
+    def next_instant(self) -> tuple[float, list[int]]:
+        return time.monotonic(), list(map(_read_int, self._paths))
 
 
 class EnergyIntegral:
     """Running joules and seconds over a stream of whole-machine instants.
 
     Only the previous instant is kept: each new one closes a pair that is
-    either added to the totals or counted as dropped (see `pair_energy`).
+    either added to the totals or, when a counter fell (a wrap or a reset),
+    counted as dropped.  A pair's seconds are its instants' time difference.
     GPU watts polled after instant i price pair (i, i+1) over its seconds.
     """
 
@@ -329,20 +281,23 @@ class EnergyIntegral:
         self.seconds = 0.0
         self.pairs = 0
         self.dropped = 0
-        self._prev: dict[str, EnergyCounterReading] | None = None
+        self._prev: tuple[float, list[int]] | None = None
         self._prev_gpu_watts = 0.0
 
-    def add(self, instant: dict[str, EnergyCounterReading], gpu_watts: float = 0.0) -> None:
+    def add(self, instant: tuple[float, list[int]], gpu_watts: float = 0.0) -> None:
         prev, self._prev = self._prev, instant
         prev_gpu_watts, self._prev_gpu_watts = self._prev_gpu_watts, gpu_watts
         if prev is None:
             return
-        pair = pair_energy(prev, instant)
-        if pair is None:
+        (earlier, before), (later, after) = prev, instant
+        if later <= earlier:
+            raise ValueError("readings must be in increasing time order")
+        deltas = list(map(sub, after, before))
+        if min(deltas) < 0:
             self.dropped += 1
             return
-        joules, seconds = pair
-        self.joules += joules + prev_gpu_watts * seconds
+        seconds = later - earlier
+        self.joules += sum(deltas) / UJ_PER_J + prev_gpu_watts * seconds
         self.seconds += seconds
         self.pairs += 1
 
@@ -361,15 +316,18 @@ class EnergyIntegral:
 
 
 class SamplingSession:
-    """Background sampler that polls a counter source until stopped.
+    """Background sampler that polls a counter source until stopped: the
+    one loop that samples both the idle baseline (`collect_baseline`) and
+    the child's run.
 
-    For a live source the loop sleeps `sample_interval_s` between instants
+    For a live source the loop waits `sample_interval_s` between instants
     and takes one final instant when stopped, so short-lived processes still
-    get a trailing partial sample; instants are folded into an
-    `EnergyIntegral` as they arrive.  A trace source runs in virtual time
-    and was integrated while it was read, before the child started: the
-    thread only adds its totals to the integral (`TraceSource.fold_into`).
-    `pairs` and `dropped` count the pairs kept and dropped.
+    get a trailing partial sample; instants, and with `gpu_enabled` the GPU
+    power polled beside each, are folded into an `EnergyIntegral` as they
+    arrive.  A trace source runs in virtual time and was integrated while
+    it was read, before the child started: the thread only adds its totals
+    to the integral (`TraceSource.fold_into`).  `pairs` and `dropped` count
+    the pairs kept and dropped.
 
     The sampler's CPU lands in the counters it reads, so each tick is kept
     cheap.  The stop gate is a plain lock the session holds until `stop()`
@@ -420,15 +378,12 @@ class SamplingSession:
             raise self._failure
         return self._integral.samples()
 
-    def _poll_once(self) -> bool:
+    def _poll_once(self) -> None:
         instant = self._source.next_instant()
-        if instant is None:
-            return False
         gpu_watts = 0.0
         if self._config.gpu_enabled:
             gpu_watts = read_gpu_power() or 0.0
         self._integral.add(instant, gpu_watts)
-        return True
 
     def _run(self) -> None:
         if self._source.virtual_time:
@@ -439,32 +394,26 @@ class SamplingSession:
         try:
             self._poll_once()
             while not stopped(timeout=interval):
-                if not self._poll_once():
-                    return
+                self._poll_once()
             self._poll_once()  # trailing read covers the last partial interval
         except ReadFailure as exc:
             self._failure = exc
 
 
 def collect_baseline(source, config: MeterConfig) -> list[PowerSample]:
-    """Integrate idle power for `baseline_duration_s` before the process starts.
+    """Integrate idle power for `baseline_duration_s` before the process
+    starts, with the sampling loop of the run itself (`SamplingSession`).
 
     Returns the integrated sample, or an empty list when no pair was kept.
+    A counter that turns unreadable ends the wait early, and its
+    `ReadFailure` is raised.
     """
     if config.baseline_duration_s == 0:
         return []
-    integral = EnergyIntegral()
-    deadline = time.monotonic() + config.baseline_duration_s
-    instant = source.next_instant()
-    if instant is not None:
-        integral.add(instant)
-    while time.monotonic() < deadline:
-        time.sleep(config.sample_interval_s)
-        instant = source.next_instant()
-        if instant is None:
-            break
-        integral.add(instant)
-    return integral.samples()
+    session = SamplingSession(source, config)
+    session.start()
+    session._thread.join(config.baseline_duration_s)
+    return session.stop()
 
 
 def _mean_watts(samples: list[PowerSample]) -> float:
@@ -487,7 +436,7 @@ def summarize(
     clamped at zero (noise can push the difference negative for near-idle
     workloads; the clamp is flagged so the report can say so).  Energy is
     power times wall duration, so time no kept pair covers (a pair dropped
-    for a wrap or a vanished domain) is bridged at the mean.  The wall-plug
+    for a wrap) is bridged at the mean.  The wall-plug
     figure divides by PSU efficiency since the counters sit downstream of
     the power supply.
     """

@@ -38,11 +38,12 @@ import io
 import math
 from array import array
 from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
 from operator import add, lt, mod, ne, sub
 from typing import TextIO
 
-from .meter import UJ_PER_J, EnergyCounterReading, EnergyIntegral, fold_columns
+from .meter import UJ_PER_J, EnergyIntegral, fold_columns
 
 # Text parsed at a time.  Reading and folding a 100k-instant trace took about
 # as long at 16k to 64k characters, ~10 % longer at 8k and ~twice as long at
@@ -372,6 +373,14 @@ def _block_order(domains: list[str], ordered: list[str], whole: int) -> list[int
     if len(set(targets)) < whole:
         return None
     return sorted(rows, key=targets.__getitem__)
+
+
+@dataclass(frozen=True, slots=True)
+class EnergyCounterReading:  # one row of a trace
+    domain_id: str
+    energy_uj: int
+    max_range_uj: int
+    timestamp: float  # seconds of trace time
 
 
 def parse_trace(text: str) -> list[dict[str, EnergyCounterReading]]:

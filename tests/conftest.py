@@ -5,7 +5,7 @@ import pytest
 
 import carbonrun
 from carbonrun.griddata import DatasetSnapshot
-from carbonrun.meter import PowerSample, pair_energy
+from carbonrun.meter import UJ_PER_J, PowerSample
 
 MAX_RANGE_UJ = 262_143_328_850
 
@@ -44,13 +44,18 @@ def short_tail_trace():
     return "\n".join(rows) + "\n"
 
 
-def power_from_readings(first, second):
-    """Average power between two reads of one domain; None if it wrapped."""
-    pair = pair_energy({first.domain_id: first}, {first.domain_id: second})
-    if pair is None:
+def pair_energy(prev, cur):
+    """Joules all domains recorded between two instants of `parse_trace`,
+    and the seconds the pair covers; None when a counter fell.  The pair
+    rule of `EnergyIntegral.add`, over instants that map each domain to a
+    reading."""
+    deltas = [cur[d].energy_uj - first.energy_uj for d, first in prev.items()]
+    earlier, later = (next(iter(i.values())).timestamp for i in (prev, cur))
+    if later <= earlier:
+        raise ValueError("readings must be in increasing time order")
+    if min(deltas) < 0:
         return None
-    joules, seconds = pair
-    return PowerSample(watts=joules / seconds, interval_s=seconds)
+    return sum(deltas) / UJ_PER_J, later - earlier
 
 
 def combine_instants(instants):

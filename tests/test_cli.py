@@ -60,6 +60,15 @@ def latin1_data_file(tmp_path, name):
     return str(path)
 
 
+def oversized_field_data_file(tmp_path, name):
+    """The packaged data file `name` with a 200,000-character field, above
+    `csv.field_size_limit()`, on line 2."""
+    header, first, rest = griddata.read_data(None, name).split("\n", 2)
+    path = tmp_path / name
+    path.write_text("\n".join([header, first.replace(",", "," + "x" * 200_000, 1), rest]))
+    return str(path)
+
+
 def no_europe_data_file(tmp_path):
     """A country snapshot whose only country is outside Europe."""
     path = tmp_path / "no-europe.csv"
@@ -159,6 +168,31 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr == (
             f"carbonrun: error: {data} is not UTF-8 text: invalid continuation byte\n")
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("flag,name", [
+        ("--us-data", griddata.US_DATA_FILE),
+        ("--intl-data", griddata.INTL_DATA_FILE),
+        ("--equivalencies", emissions.EQUIV_DATA_FILE),
+    ])
+    def test_oversized_field_in_data_file_exits_2_before_child(
+            self, trace_file, tmp_path, flag, name):
+        data = oversized_field_data_file(tmp_path, name)
+        marker = tmp_path / "child-ran"
+        proc = measured_run(trace_file, flag, data, child=("touch", str(marker)))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"carbonrun: error: line 2: field larger than field limit ({csv.field_size_limit()})\n")
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("flag", ["--sample-interval", "--baseline-duration"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_wait_exits_2_before_child(self, tmp_path, flag, value):
+        marker = tmp_path / "child-ran"
+        proc = run_cli("run", "--offline", flag, value, "--", "touch", str(marker))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("carbonrun: error: ")
+        assert "must be between" in proc.stderr
         assert not marker.exists()
 
     def test_empty_region_group_exits_2_before_child(self, trace_file, tmp_path):
@@ -497,6 +531,16 @@ class TestRegionsCommand:
         assert proc.returncode == 2
         assert proc.stderr == (
             f"carbonrun: error: {data} is not UTF-8 text: invalid continuation byte\n")
+
+    @pytest.mark.parametrize("flag,name", [
+        ("--us-data", griddata.US_DATA_FILE),
+        ("--intl-data", griddata.INTL_DATA_FILE),
+    ])
+    def test_oversized_field_in_data_file_exits_2(self, tmp_path, flag, name):
+        proc = run_cli("regions", flag, oversized_field_data_file(tmp_path, name))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"carbonrun: error: line 2: field larger than field limit ({csv.field_size_limit()})\n")
 
 
 class TestBenchCommand:

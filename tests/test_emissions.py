@@ -1,3 +1,4 @@
+import csv
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -61,6 +62,13 @@ class TestFactors:
     def test_non_positive_value(self):
         with pytest.raises(EquivalencyError):
             EquivalencyFactors.from_csv(GOOD_TABLE.replace("0.404", "0"))
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_oversized_field_names_its_line(self, line):
+        lines = GOOD_TABLE.splitlines()
+        lines[line - 1] += "x" * (csv.field_size_limit() + 1)
+        with pytest.raises(EquivalencyError, match=f"^line {line}: field larger than field limit"):
+            EquivalencyFactors.from_csv("\n".join(lines))
 
     def test_missing_columns(self):
         with pytest.raises(EquivalencyError):

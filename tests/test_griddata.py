@@ -133,6 +133,13 @@ class TestParseEgrid:
         with pytest.raises(SchemaError):
             parse_egrid("state,name\nus-zz,Testonia\n")
 
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_oversized_field_names_its_line(self, line):
+        lines = us_csv(GOOD_STATE).splitlines()
+        lines[line - 1] += "x" * (csv.field_size_limit() + 1)
+        with pytest.raises(SchemaError, match=f"^line {line}: field larger than field limit"):
+            parse_egrid("\n".join(lines))
+
     @pytest.mark.parametrize(
         "mutation",
         [

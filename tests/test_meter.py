@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from carbonrun import cli, meter
 from carbonrun.meter import (
     EmptyProcessSamples,
-    EnergyCounterReading,
     EnergyIntegral,
     MeterConfig,
     NoPowercapInterface,
@@ -19,7 +18,6 @@ from carbonrun.meter import (
     ReadFailure,
     enumerate_package_domains,
     fold_columns,
-    read_counter,
     read_gpu_power,
     summarize,
     _read_int,
@@ -30,31 +28,47 @@ from conftest import (
     combine_instants,
     constant_trace,
     piecewise_trace,
-    power_from_readings,
     short_tail_trace,
 )
 
 
-def reading(energy_uj, t, domain="pkg-0", max_range=10**12):
-    return EnergyCounterReading(domain, energy_uj, max_range, t)
+def integrate(*instants):
+    """An `EnergyIntegral` fed `instants`, each (timestamp, [µJ per domain])."""
+    integral = EnergyIntegral()
+    for instant in instants:
+        integral.add(instant)
+    return integral
 
 
 class TestPowerFromReadings:
     def test_delta_over_time(self):
-        sample = power_from_readings(reading(1_000_000, 0.0), reading(3_000_000, 1.0))
+        [sample] = integrate((0.0, [1_000_000]), (1.0, [3_000_000])).samples()
         assert sample.watts == 2.0
         assert sample.interval_s == 1.0
 
     def test_zero_delta_is_valid_idle(self):
-        sample = power_from_readings(reading(5_000_000, 0.0), reading(5_000_000, 0.1))
+        [sample] = integrate((0.0, [5_000_000]), (0.1, [5_000_000])).samples()
         assert sample.watts == 0.0
 
     def test_wrap_is_discarded(self):
-        assert power_from_readings(reading(900, 0.0), reading(100, 1.0)) is None
+        integral = integrate((0.0, [900]), (1.0, [100]))
+        assert (integral.pairs, integral.dropped, integral.samples()) == (0, 1, [])
 
     def test_time_must_increase(self):
         with pytest.raises(ValueError):
-            power_from_readings(reading(0, 1.0), reading(10, 1.0))
+            integrate((1.0, [0]), (1.0, [10]))
+
+    def test_one_falling_domain_drops_the_pair_and_seconds_span_the_instants(self):
+        integral = integrate((0.0, [0, 500]), (1.0, [4_000_000, 100]),
+                             (3.0, [8_000_000, 2_000_100]))
+        assert (integral.pairs, integral.dropped) == (1, 1)
+        assert (integral.joules, integral.seconds) == (6.0, 2.0)
+
+    def test_gpu_watts_price_the_pair_they_open(self):
+        integral = EnergyIntegral()
+        integral.add((0.0, [0]), gpu_watts=30.0)
+        integral.add((2.0, [2_000_000]), gpu_watts=50.0)
+        assert (integral.joules, integral.seconds) == (62.0, 2.0)
 
     def test_negative_watts_impossible_by_construction(self):
         with pytest.raises(ValueError):
@@ -79,6 +93,18 @@ class TestMeterConfig:
     def test_interval_below_counter_granularity(self):
         with pytest.raises(ValueError):
             MeterConfig(sample_interval_s=0.001)
+
+    @pytest.mark.parametrize("field", ["sample_interval_s", "baseline_duration_s"])
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, threading.TIMEOUT_MAX * 2])
+    def test_non_finite_or_oversized_wait(self, field, value):
+        with pytest.raises(ValueError, match="must be between"):
+            MeterConfig(**{field: value})
+
+    def test_longest_wait_allowed(self):
+        config = MeterConfig(sample_interval_s=threading.TIMEOUT_MAX,
+                             baseline_duration_s=threading.TIMEOUT_MAX)
+        assert config.baseline_duration_s == threading.TIMEOUT_MAX
 
 
 class TestSysfsReads:
@@ -130,25 +156,22 @@ class TestSysfsReads:
 
     def test_read_counter_tolerates_trailing_newline(self, tmp_path):
         root = tmp_path / "intel-rapl"
-        domain = self.make_domain(root, "intel-rapl:0", "package-0", energy=123456)
-        r = read_counter(str(domain))
-        assert r.energy_uj == 123456
-        assert r.max_range_uj == 10**12
+        self.make_domain(root, "intel-rapl:0", "package-0", energy=123456)
+        assert meter.PowercapSource(str(root)).next_instant()[1] == [123456]
 
     def test_read_counter_failure_carries_path(self, tmp_path):
         root = tmp_path / "intel-rapl"
         domain = self.make_domain(root, "intel-rapl:0", "package-0")
         (domain / "energy_uj").unlink()
         with pytest.raises(ReadFailure) as err:
-            read_counter(str(domain))
-        assert "energy_uj" in str(err.value)
+            meter.PowercapSource(str(root))
+        assert err.value.path == str(domain / "energy_uj")
 
     def test_read_counter_garbage_is_read_failure(self, tmp_path):
-        root = tmp_path / "intel-rapl"
-        domain = self.make_domain(root, "intel-rapl:0", "package-0")
-        (domain / "energy_uj").write_text("not-a-number\n")
+        path = tmp_path / "energy_uj"
+        path.write_text("not-a-number\n")
         with pytest.raises(ReadFailure):
-            read_counter(str(domain))
+            _read_int(str(path))
 
     def test_empty_counter_file_is_read_failure(self, tmp_path):
         path = tmp_path / "energy_uj"
@@ -168,23 +191,32 @@ class TestSysfsReads:
         os.replace(scratch, path)
         assert _read_int(str(path)) == 250
 
-    def test_source_reads_max_range_once(self, tmp_path):
+    def test_source_reads_every_counter_at_construction(self, tmp_path, monkeypatch):
         root = tmp_path / "intel-rapl"
-        domain = self.make_domain(root, "intel-rapl:0", "package-0", energy=42)
+        package = self.make_domain(root, "intel-rapl:0", "package-0", energy=42)
+        dram = self.make_domain(package, "intel-rapl:0:0", "dram", energy=7)
+        (dram / "max_energy_range_uj").unlink()  # never read
+        reads = []
+        monkeypatch.setattr(meter, "_read_int", lambda path: reads.append(path) or 1)
         source = meter.PowercapSource(str(root))
-        (domain / "max_energy_range_uj").unlink()
-        reading = source.next_instant()[str(domain)]
-        assert (reading.energy_uj, reading.max_range_uj) == (42, 10**12)
+        assert reads == [str(package / "energy_uj"), str(dram / "energy_uj")]
+        monkeypatch.undo()
+        assert source.next_instant()[1] == [42, 7]
 
-    def test_unreadable_max_range_exits_2_with_path(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("baseline", [[], ["--no-baseline"]], ids=["baseline", "no-baseline"])
+    def test_unreadable_counter_exits_2_with_path_before_child(
+            self, tmp_path, monkeypatch, capsys, baseline):
         root = tmp_path / "intel-rapl"
         domain = self.make_domain(root, "intel-rapl:0", "package-0")
-        (domain / "max_energy_range_uj").write_text("garbage\n")
+        (domain / "energy_uj").unlink()
+        marker = tmp_path / "child-ran"
         monkeypatch.setattr(cli, "PowercapSource", lambda: meter.PowercapSource(str(root)))
-        options = cli._parser("carbonrun").parse_args(["run", "--offline", "true"])
+        options = cli._parser("carbonrun").parse_args(
+            ["run", "--offline", *baseline, "touch", str(marker)])
         code, doc = cli.run_measured(options.command, options)
         assert (code, doc) == (2, None)
-        assert str(domain / "max_energy_range_uj") in capsys.readouterr().err
+        assert f"cannot read {domain / 'energy_uj'}" in capsys.readouterr().err
+        assert not marker.exists()
 
     def test_counter_unreadable_mid_run_stops_with_path(self, tmp_path, monkeypatch, capsys):
         root = tmp_path / "intel-rapl"
@@ -409,7 +441,7 @@ class TestSamplingSession:
             ts += interval
             counters = [c + delta for c, delta in zip(counters, deltas)]
             rows += [f"{ts!r},pkg-{d},{counters[d]},{2**62}" for d in range(domains)]
-        # the instants from `served` on, as the loop and as columns
+        # the instants from `served` on, as columns and as the loop's instants
         instants = parse_trace("\n".join(rows))[served:]
         timestamps = [instant["pkg-0"].timestamp for instant in instants]
         energies = [[instant[f"pkg-{d}"].energy_uj for instant in instants]
@@ -418,7 +450,7 @@ class TestSamplingSession:
         folded, looped = EnergyIntegral(), EnergyIntegral()
         kept_uj, kept, dropped, seconds = fold_columns(timestamps, energies)
         folded.add_totals(kept_uj / meter.UJ_PER_J, math.fsum(seconds), kept, dropped)
-        for instant in instants:
+        for instant in zip(timestamps, map(list, zip(*energies))):
             looped.add(instant)
 
         assert (folded.pairs, folded.dropped) == (looped.pairs, looped.dropped)
@@ -573,3 +605,42 @@ class TestSessionStop:
                 session.stop()
             assert err.value.path == str(counter)
         assert thread_errors == []
+
+
+class TestBaseline:
+    def test_counter_vanishing_mid_baseline_ends_it_early(self, tmp_path):
+        root, domains = make_package_tree(tmp_path, packages=2)
+        counter = domains[1] / "energy_uj"
+        source = meter.PowercapSource(str(root))
+        config = MeterConfig(sample_interval_s=0.05, baseline_duration_s=30.0)
+        threading.Timer(0.1, counter.unlink).start()
+        started = time.monotonic()
+        with pytest.raises(ReadFailure) as err:
+            meter.collect_baseline(source, config)
+        assert time.monotonic() - started < 1.0
+        assert err.value.path == str(counter)
+
+    def test_gpu_power_is_part_of_the_baseline(self, tmp_path, monkeypatch):
+        root, _ = make_package_tree(tmp_path)
+        monkeypatch.setattr(meter, "read_gpu_power", lambda: 30.0)
+        config = MeterConfig(sample_interval_s=0.02, baseline_duration_s=0.2, gpu_enabled=True)
+        [sample] = meter.collect_baseline(meter.PowercapSource(str(root)), config)
+        assert sample.watts == pytest.approx(30.0)
+
+    def test_baseline_lasts_its_duration(self, tmp_path):
+        root, _ = make_package_tree(tmp_path)
+        config = MeterConfig(sample_interval_s=0.02, baseline_duration_s=0.2)
+        started = time.monotonic()
+        [sample] = meter.collect_baseline(meter.PowercapSource(str(root)), config)
+        assert 0.2 <= time.monotonic() - started < 0.4
+        assert sample.watts == 0.0
+        assert 0.2 <= sample.interval_s < 0.4
+
+    def test_zero_duration_reads_nothing(self):
+        class Unread:
+            virtual_time = False
+
+            def next_instant(self):
+                raise AssertionError("a zero-length baseline read a counter")
+
+        assert meter.collect_baseline(Unread(), MeterConfig(baseline_duration_s=0.0)) == []

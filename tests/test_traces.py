@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carbonrun import traces
-from carbonrun.meter import EnergyCounterReading, EnergyIntegral
-from carbonrun.traces import TraceError, TraceSource, parse_trace
+from carbonrun.meter import EnergyIntegral
+from carbonrun.traces import EnergyCounterReading, TraceError, TraceSource, parse_trace
 
 from conftest import MAX_RANGE_UJ, constant_trace
 from trace_reference import reference_parse, reference_totals

@@ -17,8 +17,8 @@ from array import array
 from itertools import chain, compress, count, groupby, islice
 from operator import ge, gt, sub
 
-from carbonrun.meter import UJ_PER_J, EnergyCounterReading, EnergyIntegral
-from carbonrun.traces import TraceError
+from carbonrun.meter import UJ_PER_J, EnergyIntegral
+from carbonrun.traces import EnergyCounterReading, TraceError
 
 
 def reference_parse(text):
@@ -111,7 +111,7 @@ def _pairs(column, start):
 def fold_columns(integral, timestamps, energies, start=0):
     """Fold every pair of consecutive instants from index `start` on into
     `integral`, given the instants' timestamps and one counter column (µJ)
-    per domain, with the pair rule of `pair_energy`, over whole columns."""
+    per domain, with the pair rule of `EnergyIntegral.add`, over whole columns."""
     last = len(timestamps) - 1
     if last <= start:
         return
