@@ -21,14 +21,8 @@ from typing import NoReturn
 
 from . import __version__
 from .bench import GuardExceeded, WorkloadShape, WorkloadSpec, run_workload
-from .emissions import EquivalencyError, load_equivalency_factors
-from .griddata import (
-    DatasetSnapshot,
-    RegionGroup,
-    SchemaError,
-    UnknownRegion,
-    effective_intensity_kg_per_kwh,
-)
+from .emissions import RANKS, EquivalencyError, load_equivalency_factors
+from .griddata import DatasetSnapshot, RegionGroup, SchemaError, UnknownRegion
 from .locate import DEFAULT_CHOICES, resolve_location
 from .meter import (
     EmptyProcessSamples,
@@ -232,13 +226,11 @@ def cmd_regions(options: argparse.Namespace) -> int:
     except (SchemaError, OSError) as exc:
         return _fail(str(exc))
     def intensity_label(region):
-        kg_mwh = effective_intensity_kg_per_kwh(region, snapshot.intensities) * 1000
-        return f"{kg_mwh:7.1f} kg/MWh"
+        return f"{region.kg_co2_per_kwh * 1000:7.1f} kg/MWh"
 
     if options.extremes_group:
         group = RegionGroup(options.extremes_group)
-        for rank, region in zip(("lowest", "median", "highest"),
-                                snapshot.extremes(group)):
+        for rank, region in zip(RANKS, snapshot.extremes(group)):
             print(
                 f"{rank:<8} {region.id:<14} {intensity_label(region)}  "
                 f"{region.display_name}"
@@ -390,8 +382,12 @@ def _parser(prog_name: str) -> argparse.ArgumentParser:
 def main(args: list[str] | None = None, prog_name: str = "carbonrun") -> NoReturn:
     """Parse `args` (default: `sys.argv[1:]`), run the subcommand, and exit
     with its code; a usage error exits 2."""
-    options = _parser(prog_name).parse_args(args)
     try:
+        try:
+            options = _parser(prog_name).parse_args(args)
+        except SystemExit:
+            sys.stdout.flush()  # the --help or --version text
+            raise
         code = options.handler(options)
         sys.stdout.flush()
     except BrokenPipeError:

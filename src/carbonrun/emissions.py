@@ -1,4 +1,8 @@
-"""Convert measured energy into CO2 mass and relatable equivalents."""
+"""Price measured energy: CO2 equivalents and the regional comparison panels.
+
+A region's intensity is `RegionRecord.kg_co2_per_kwh`; CO2 mass is energy
+times that intensity, here and in the report's headline alike.
+"""
 
 from __future__ import annotations
 
@@ -7,17 +11,18 @@ import io
 import math
 from dataclasses import dataclass
 
-from .griddata import (
-    DatasetSnapshot,
-    FuelIntensities,
-    RegionGroup,
-    RegionRecord,
-    effective_intensity_kg_per_kwh,
-    read_data,
-)
+from .griddata import DatasetSnapshot, RegionGroup, RegionRecord, read_data
 
 EQUIV_DATA_FILE = "equivalencies.csv"
 EQUIV_KEYS = ("kg_per_mile", "kg_per_tv_minute", "kg_per_household_day")
+
+GROUP_LABELS = {
+    RegionGroup.US: "United States",
+    RegionGroup.EUROPE: "Europe",
+    RegionGroup.GLOBAL: "Global (excl. US and Europe)",
+}
+
+RANKS = ("lowest", "median", "highest")
 
 
 class EquivalencyError(Exception):
@@ -72,14 +77,6 @@ def load_equivalency_factors(path: str | None = None) -> EquivalencyFactors:
 
 
 @dataclass(frozen=True)
-class EmissionsResult:
-    kwh: float
-    region: RegionRecord
-    intensity_kg_per_kwh: float
-    kg_co2: float
-
-
-@dataclass(frozen=True)
 class Equivalents:
     miles_driven: float
     tv_minutes: float
@@ -87,28 +84,20 @@ class Equivalents:
 
 
 @dataclass(frozen=True)
-class ComparisonSet:
+class ComparisonRow:
+    rank: str
+    region_id: str
+    region_name: str
+    kg_co2: float
+
+
+@dataclass(frozen=True)
+class ComparisonPanel:
     """Same energy priced at a group's lowest/median/highest regions."""
 
-    group: RegionGroup
-    entries: tuple[tuple[RegionRecord, float], ...]  # low, median, high
-
-
-def emissions_for(
-    kwh: float,
-    region: RegionRecord,
-    intensities: FuelIntensities | None = None,
-) -> EmissionsResult:
-    """CO2 mass for an energy draw charged at a region's intensity."""
-    if kwh < 0:
-        raise ValueError(f"negative energy: {kwh} kWh")
-    intensity = effective_intensity_kg_per_kwh(region, intensities)
-    return EmissionsResult(
-        kwh=kwh,
-        region=region,
-        intensity_kg_per_kwh=intensity,
-        kg_co2=kwh * intensity,
-    )
+    group: str
+    label: str
+    rows: tuple[ComparisonRow, ...]
 
 
 def equivalents_for(kg_co2: float, factors: EquivalencyFactors) -> Equivalents:
@@ -125,19 +114,27 @@ def comparison_sets(
     kwh: float,
     snapshot: DatasetSnapshot,
     region: RegionRecord | None = None,
-) -> list[ComparisonSet]:
+) -> tuple[ComparisonPanel, ...]:
     """Rank the measured energy against every group's extremes.
 
-    One set per group (US, Europe, global), each holding the lowest, median
+    One panel per group (US, Europe, global), each holding the lowest, median
     and highest intensity member with the CO2 the same kWh would cost there.
-    The sets do not depend on the resolved `region`; it is accepted only so
+    The panels do not depend on the resolved `region`; it is accepted only so
     that callers passing it positionally keep working.
     """
-    sets = []
-    for group in (RegionGroup.US, RegionGroup.EUROPE, RegionGroup.GLOBAL):
-        entries = tuple(
-            (rec, emissions_for(kwh, rec, snapshot.intensities).kg_co2)
-            for rec in snapshot.extremes(group)
+    return tuple(
+        ComparisonPanel(
+            group=group.value,
+            label=GROUP_LABELS[group],
+            rows=tuple(
+                ComparisonRow(
+                    rank=rank,
+                    region_id=rec.id,
+                    region_name=rec.display_name,
+                    kg_co2=kwh * rec.kg_co2_per_kwh,
+                )
+                for rank, rec in zip(RANKS, snapshot.extremes(group))
+            ),
         )
-        sets.append(ComparisonSet(group=group, entries=entries))
-    return sets
+        for group in RegionGroup
+    )

@@ -167,6 +167,18 @@ class RegionRecord:
     direct_rate_lbs_per_mwh: float | None = None
     group: RegionGroup | None = None
 
+    @property
+    def kg_co2_per_kwh(self) -> float:
+        """Emission intensity in kg CO2 per kWh.
+
+        US states and the pinned aggregates carry a measured direct rate in
+        lbs/MWh, which is authoritative when present.  Mix-only regions weight
+        the canonical per-fuel intensities by their mix.
+        """
+        if self.direct_rate_lbs_per_mwh is not None:
+            return self.direct_rate_lbs_per_mwh * KG_PER_LB / 1000.0
+        return self.mix.weighted_kg_per_mwh(CANONICAL_INTENSITIES) / 1000.0
+
 
 # the lowest, median and highest emission-intensity members of a group
 Extremes = tuple[RegionRecord, RegionRecord, RegionRecord]
@@ -333,25 +345,9 @@ def derive_fuel_intensity(
     return FuelIntensities(**values, low_carbon=0.0)
 
 
-def effective_intensity_kg_per_kwh(
-    region: RegionRecord, intensities: FuelIntensities | None = None
-) -> float:
-    """Emission intensity for a region in kg CO2 per kWh.
-
-    US states and the pinned aggregates carry a measured direct rate in
-    lbs/MWh, which is authoritative when present.  Mix-only regions weight
-    the canonical per-fuel intensities by their mix.
-    """
-    if region.direct_rate_lbs_per_mwh is not None:
-        return region.direct_rate_lbs_per_mwh * KG_PER_LB / 1000.0
-    weights = intensities or CANONICAL_INTENSITIES
-    return region.mix.weighted_kg_per_mwh(weights) / 1000.0
-
-
 @dataclass(frozen=True)
 class DatasetSnapshot:
     regions: dict[str, RegionRecord]
-    intensities: FuelIntensities
     _index: dict[str, str] = field(repr=False)
     _extremes: dict[RegionGroup, Extremes] = field(repr=False)
 
@@ -379,7 +375,7 @@ class DatasetSnapshot:
         for group in RegionGroup:
             ranked = sorted(
                 (r for r in regions.values() if r.group is group),
-                key=lambda r: (effective_intensity_kg_per_kwh(r), r.id),
+                key=lambda r: (r.kg_co2_per_kwh, r.id),
             )
             if not ranked:
                 raise SchemaError(f"no regions in group {group.value!r}")
@@ -395,12 +391,7 @@ class DatasetSnapshot:
                 # first registration wins: US states shadow same-named
                 # countries (e.g. Georgia), ids are unique anyway
                 index.setdefault(norm, rec.id)
-        return cls(
-            regions=regions,
-            intensities=CANONICAL_INTENSITIES,
-            _index=index,
-            _extremes=extremes,
-        )
+        return cls(regions=regions, _index=index, _extremes=extremes)
 
     def lookup(self, key: str) -> RegionRecord:
         """Resolve a user-supplied region name or id, case-insensitively.
@@ -424,9 +415,6 @@ class DatasetSnapshot:
             if label not in display:
                 display.append(label)
         raise UnknownRegion(key, display)
-
-    def members(self, group: RegionGroup) -> list[RegionRecord]:
-        return [r for r in self.regions.values() if r.group is group]
 
     def extremes(self, group: RegionGroup) -> Extremes:
         """Lowest, median and highest emission-intensity members of a group.

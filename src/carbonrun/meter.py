@@ -220,8 +220,9 @@ def fold_columns(
 def read_gpu_power(command: list[str] | None = None) -> float | None:
     """Instantaneous GPU board power in watts summed across all GPUs, or None.
 
-    Any failure (driver missing, tool absent, unparseable output) means the
-    GPU contribution is simply unavailable; it never aborts a measurement.
+    Any failure (driver missing, tool absent, output that is not a finite,
+    non-negative number per line) means the GPU contribution is simply
+    unavailable; it never aborts a measurement.
     """
     cmd = command or GPU_QUERY
     if shutil.which(cmd[0]) is None:
@@ -241,13 +242,14 @@ def read_gpu_power(command: list[str] | None = None) -> float | None:
         if not line:
             continue
         try:
-            total += float(line)
+            watts = float(line)
         except ValueError:
             return None
+        if not math.isfinite(watts) or watts < 0:
+            return None
+        total += watts
         seen = True
-    if not seen or total < 0:
-        return None
-    return total
+    return total if seen else None
 
 
 class PowercapSource:

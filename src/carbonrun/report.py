@@ -2,9 +2,11 @@
 
 The report has six sections: header, energy readings, the local energy mix,
 totals (kWh and kg CO2), assumptions plus everyday equivalents, and the
-three-group regional comparison.  Renderers only format; every number they
-print exists verbatim in the ReportDocument, and JSON keeps full precision
-while text/HTML round for display.
+three-group regional comparison.  The totals and the comparison panels both
+price energy at `RegionRecord.kg_co2_per_kwh`, so a region appearing in both
+costs the same.  Renderers only format; every number they print exists
+verbatim in the ReportDocument, and JSON keeps full precision while text/HTML
+round for display.
 """
 
 from __future__ import annotations
@@ -19,25 +21,17 @@ from typing import get_args, get_origin, get_type_hints
 from . import __version__
 from .charts import bar_panel, pie_chart
 from .emissions import (
+    ComparisonPanel,
     EquivalencyFactors,
     Equivalents,
     comparison_sets,
-    emissions_for,
     equivalents_for,
 )
-from .griddata import FUELS, DatasetSnapshot, EnergyMix, FuelIntensities, RegionGroup
+from .griddata import CANONICAL_INTENSITIES, FUELS, DatasetSnapshot, EnergyMix, FuelIntensities
 from .locate import LocationResolution, ResolutionMethod
 from .meter import MeasurementSummary
 
 SCHEMA_VERSION = "1"
-
-GROUP_LABELS = {
-    RegionGroup.US.value: "United States",
-    RegionGroup.EUROPE.value: "Europe",
-    RegionGroup.GLOBAL.value: "Global (excl. US and Europe)",
-}
-
-RANKS = ("lowest", "median", "highest")
 
 METHOD_LABELS = {
     ResolutionMethod.EXPLICIT.value: "set explicitly",
@@ -85,21 +79,6 @@ class SummarySection:
 
 
 @dataclass(frozen=True)
-class ComparisonRow:
-    rank: str
-    region_id: str
-    region_name: str
-    kg_co2: float
-
-
-@dataclass(frozen=True)
-class ComparisonPanel:
-    group: str
-    label: str
-    rows: tuple[ComparisonRow, ...]
-
-
-@dataclass(frozen=True)
 class ResolutionInfo:
     method: str
     region_id: str
@@ -136,25 +115,8 @@ def build_report(
     what the grid actually had to deliver.
     """
     region = resolution.region
-    result = emissions_for(summary.adjusted_kwh, region, snapshot.intensities)
-    panels = []
-    for cset in comparison_sets(summary.adjusted_kwh, snapshot):
-        rows = tuple(
-            ComparisonRow(
-                rank=rank,
-                region_id=rec.id,
-                region_name=rec.display_name,
-                kg_co2=kg,
-            )
-            for rank, (rec, kg) in zip(RANKS, cset.entries)
-        )
-        panels.append(
-            ComparisonPanel(
-                group=cset.group.value,
-                label=GROUP_LABELS[cset.group.value],
-                rows=rows,
-            )
-        )
+    intensity = region.kg_co2_per_kwh
+    kg_co2 = summary.adjusted_kwh * intensity
     if generated_at is None:
         generated_at = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     return ReportDocument(
@@ -170,12 +132,12 @@ def build_report(
         ),
         summary=SummarySection(
             kwh=summary.adjusted_kwh,
-            kg_co2=result.kg_co2,
-            intensity_kg_per_kwh=result.intensity_kg_per_kwh,
+            kg_co2=kg_co2,
+            intensity_kg_per_kwh=intensity,
         ),
-        assumptions=snapshot.intensities,
-        equivalents=equivalents_for(result.kg_co2, factors),
-        comparisons=tuple(panels),
+        assumptions=CANONICAL_INTENSITIES,
+        equivalents=equivalents_for(kg_co2, factors),
+        comparisons=comparison_sets(summary.adjusted_kwh, snapshot),
         resolution=ResolutionInfo(
             method=resolution.method.value,
             region_id=region.id,

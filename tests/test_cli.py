@@ -459,7 +459,7 @@ class TestProgramEntry:
         assert (program.returncode, main.returncode) == (0, 0)
         assert program.stdout == main.stdout == "carbonrun, version 0.1.0\n"
 
-    def test_help_into_a_closed_pipe_exits_120_as_main_does(self):
+    def test_help_into_a_closed_pipe_exits_1_quietly(self):
         env = dict(os.environ)
         env.pop("PYTHONUNBUFFERED", None)
         codes, errors = [], []
@@ -469,8 +469,8 @@ class TestProgramEntry:
             proc.stdout.close()
             errors.append(proc.communicate(timeout=60)[1])
             codes.append(proc.returncode)
-        assert codes == [120, 120]
-        assert "Traceback" not in errors[0]
+        assert codes == [1, 1]
+        assert errors == ["", ""]
 
     def test_json_report_equals_the_one_main_writes(self, trace_file, tmp_path, monkeypatch):
         monkeypatch.setattr(gc, "freeze", lambda: None)
@@ -502,6 +502,12 @@ class TestRegionsCommand:
         assert "Vermont" in lines[0]
         assert "Mississippi" in lines[1]
         assert "Wyoming" in lines[2]
+
+    def test_extremes_print_the_intensity_a_report_prices_at(self, trace_file):
+        doc = report.parse_report_json(measured_run(trace_file, "--location", "wyoming").stdout)
+        highest = run_cli("regions", "--extremes", "us").stdout.splitlines()[2]
+        kg_mwh = f"{doc.summary.intensity_kg_per_kwh * 1000:7.1f} kg/MWh"
+        assert highest == f"highest  us-wy          {kg_mwh}  Wyoming"
 
     def test_closed_stdout_exits_1_quietly(self):
         proc = subprocess.Popen([*CLI, "regions"], stdout=subprocess.PIPE,

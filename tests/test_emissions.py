@@ -1,14 +1,16 @@
 import csv
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from carbonrun.emissions import (
-    ComparisonSet,
+    RANKS,
+    ComparisonPanel,
     EquivalencyError,
     EquivalencyFactors,
     comparison_sets,
-    emissions_for,
     equivalents_for,
     load_equivalency_factors,
 )
@@ -16,10 +18,8 @@ from carbonrun.griddata import (
     CANONICAL_INTENSITIES,
     KG_PER_LB,
     EnergyMix,
-    RegionGroup,
     RegionKind,
     RegionRecord,
-    effective_intensity_kg_per_kwh,
 )
 
 
@@ -81,32 +81,32 @@ class TestFactors:
 
 
 class TestEmissionsFor:
+    """Energy is priced at `RegionRecord.kg_co2_per_kwh`."""
+
     def test_world_rate_conversion(self, snapshot):
-        world = snapshot.regions["world-average"]
-        result = emissions_for(1.0, world)
         # 1600.6 lbs/MWh -> kg/kWh
-        assert result.kg_co2 == pytest.approx(1600.6 * 0.453592 / 1000.0)
-        assert result.intensity_kg_per_kwh == result.kg_co2
+        world = snapshot.regions["world-average"]
+        assert world.kg_co2_per_kwh == pytest.approx(1600.6 * 0.453592 / 1000.0)
 
     def test_scales_linearly(self, snapshot):
-        wyoming = snapshot.lookup("wyoming")
-        one = emissions_for(1.0, wyoming)
-        ten = emissions_for(10.0, wyoming)
-        assert ten.kg_co2 == pytest.approx(10 * one.kg_co2)
+        one, ten = comparison_sets(1.0, snapshot), comparison_sets(10.0, snapshot)
+        for small, large in zip(one, ten):
+            for a, b in zip(small.rows, large.rows):
+                assert b.kg_co2 == pytest.approx(10 * a.kg_co2)
 
     def test_zero_energy(self, snapshot):
-        assert emissions_for(0.0, snapshot.lookup("france")).kg_co2 == 0.0
-
-    def test_negative_energy_rejected(self, snapshot):
-        with pytest.raises(ValueError):
-            emissions_for(-1.0, snapshot.lookup("france"))
+        # every intensity is finite and non-negative, so no energy costs no CO2
+        for region in snapshot.regions.values():
+            assert math.isfinite(region.kg_co2_per_kwh)
+            assert region.kg_co2_per_kwh >= 0
+            assert 0.0 * region.kg_co2_per_kwh == 0.0
 
     def test_direct_and_mix_routes_agree_for_world(self, snapshot):
         # the pinned world rate and the canonical-weighted world mix are
         # independent routes to the same number; keep them within 1 kg/MWh
         world = snapshot.regions["world-average"]
         direct = world.direct_rate_lbs_per_mwh * 0.453592
-        weighted = world.mix.weighted_kg_per_mwh(snapshot.intensities)
+        weighted = world.mix.weighted_kg_per_mwh(CANONICAL_INTENSITIES)
         assert abs(direct - weighted) < 1.0
 
     def test_routes_identical_when_rate_derives_from_mix(self):
@@ -115,8 +115,8 @@ class TestEmissionsFor:
         with_mix = mix_region(0.5, 0.2, 0.1, 0.2)
         weighted = with_mix.mix.weighted_kg_per_mwh(CANONICAL_INTENSITIES)
         with_rate = mix_region(0.5, 0.2, 0.1, 0.2, rate=weighted / KG_PER_LB)
-        via_mix = effective_intensity_kg_per_kwh(with_mix)
-        via_rate = effective_intensity_kg_per_kwh(with_rate)
+        via_mix = with_mix.kg_co2_per_kwh
+        via_rate = with_rate.kg_co2_per_kwh
         assert via_rate == pytest.approx(via_mix, rel=1e-9)
 
     @given(
@@ -131,11 +131,11 @@ class TestEmissionsFor:
             fossil = coal + oil + gas
         region = mix_region(coal, oil, gas, max(1.0 - fossil, 0.0))
         # coal is the dirtiest canonical fuel, so no blend can exceed it
-        assert effective_intensity_kg_per_kwh(region) <= 0.996 + 1e-12
+        assert region.kg_co2_per_kwh <= 0.996 + 1e-12
 
     def test_pure_coal_hits_canonical_ceiling(self):
         region = mix_region(1.0, 0.0, 0.0, 0.0)
-        assert effective_intensity_kg_per_kwh(region) == pytest.approx(0.996)
+        assert region.kg_co2_per_kwh == pytest.approx(0.996)
 
 
 class TestEquivalents:
@@ -160,23 +160,22 @@ class TestEquivalents:
 
 class TestComparisonSets:
     def test_three_ordered_groups(self, snapshot):
-        sets = comparison_sets(0.5, snapshot)
-        assert [s.group for s in sets] == [
-            RegionGroup.US,
-            RegionGroup.EUROPE,
-            RegionGroup.GLOBAL,
-        ]
-        for cset in sets:
-            assert isinstance(cset, ComparisonSet)
-            kgs = [kg for _, kg in cset.entries]
+        panels = comparison_sets(0.5, snapshot)
+        assert [p.group for p in panels] == ["us", "europe", "global"]
+        for panel in panels:
+            assert isinstance(panel, ComparisonPanel)
+            assert tuple(row.rank for row in panel.rows) == RANKS
+            kgs = [row.kg_co2 for row in panel.rows]
             assert kgs == sorted(kgs)
-            assert len(cset.entries) == 3
 
     def test_zero_energy_keeps_structure(self, snapshot):
-        for cset in comparison_sets(0.0, snapshot):
-            assert all(kg == 0.0 for _, kg in cset.entries)
+        for panel in comparison_sets(0.0, snapshot):
+            assert len(panel.rows) == 3
+            assert all(row.kg_co2 == 0.0 for row in panel.rows)
 
     def test_values_match_per_region_computation(self, snapshot):
-        for cset in comparison_sets(2.0, snapshot):
-            for record, kg in cset.entries:
-                assert kg == pytest.approx(emissions_for(2.0, record, snapshot.intensities).kg_co2)
+        for panel in comparison_sets(2.0, snapshot):
+            for row in panel.rows:
+                region = snapshot.regions[row.region_id]
+                assert row.kg_co2 == 2.0 * region.kg_co2_per_kwh
+                assert row.region_name == region.display_name

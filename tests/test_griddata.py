@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 
@@ -17,7 +18,6 @@ from carbonrun.griddata import (
     UnknownRegion,
     ZeroGeneration,
     derive_fuel_intensity,
-    effective_intensity_kg_per_kwh,
     parse_egrid,
     parse_eia,
 )
@@ -232,15 +232,14 @@ class TestDeriveFuelIntensity:
 class TestEffectiveIntensity:
     def test_direct_rate_takes_precedence(self, snapshot):
         wyoming = snapshot.lookup("wyoming")
-        direct = effective_intensity_kg_per_kwh(wyoming, snapshot.intensities)
-        assert direct == pytest.approx(
+        assert wyoming.kg_co2_per_kwh == pytest.approx(
             wyoming.direct_rate_lbs_per_mwh * 0.453592 / 1000.0
         )
 
     def test_mix_route_for_countries(self, snapshot):
         germany = snapshot.lookup("germany")
-        expected = germany.mix.weighted_kg_per_mwh(snapshot.intensities) / 1000.0
-        assert effective_intensity_kg_per_kwh(germany, snapshot.intensities) == expected
+        expected = germany.mix.weighted_kg_per_mwh(CANONICAL_INTENSITIES) / 1000.0
+        assert germany.kg_co2_per_kwh == expected
 
 
 class TestSnapshot:
@@ -256,23 +255,22 @@ class TestSnapshot:
     def test_us_aggregate_rate_within_state_range(self, snapshot):
         rates = [
             r.direct_rate_lbs_per_mwh
-            for r in snapshot.members(RegionGroup.US)
+            for r in snapshot.regions.values()
+            if r.group is RegionGroup.US
         ]
         us = snapshot.regions["us-average"]
         assert min(rates) < us.direct_rate_lbs_per_mwh < max(rates)
 
     def test_europe_aggregate_is_mean_mix(self, snapshot):
-        europe = snapshot.members(RegionGroup.EUROPE)
+        europe = [r for r in snapshot.regions.values() if r.group is RegionGroup.EUROPE]
         agg = snapshot.regions["europe-average"]
         expected = sum(c.mix.coal for c in europe) / len(europe)
         assert agg.mix.coal == pytest.approx(expected)
 
     def test_region_partition(self, snapshot):
-        us = snapshot.members(RegionGroup.US)
-        europe = snapshot.members(RegionGroup.EUROPE)
-        other = snapshot.members(RegionGroup.GLOBAL)
-        assert len(us) == 51
-        assert len(europe) + len(other) == 186
+        sizes = collections.Counter(r.group for r in snapshot.regions.values())
+        assert sizes[RegionGroup.US] == 51
+        assert sizes[RegionGroup.EUROPE] + sizes[RegionGroup.GLOBAL] == 186
         assert len(snapshot.regions) == 51 + 186 + 3
 
 

@@ -254,6 +254,11 @@ class TestGpu:
         stub = self.make_stub(tmp_path, "echo 'N/A watts'")
         assert read_gpu_power(command=[stub]) is None
 
+    @pytest.mark.parametrize("body", ["echo inf", "echo nan", "echo -5",
+                                      "echo 40; echo nan", "echo 40; echo -5"])
+    def test_non_finite_or_negative_output(self, tmp_path, body):
+        assert read_gpu_power(command=[self.make_stub(tmp_path, body)]) is None
+
     def test_nonzero_exit(self, tmp_path):
         stub = self.make_stub(tmp_path, "exit 9")
         assert read_gpu_power(command=[stub]) is None

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from carbonrun.charts import bar_panel, pie_chart
-from carbonrun.emissions import emissions_for, load_equivalency_factors
+from carbonrun.emissions import load_equivalency_factors
 from carbonrun.locate import LocationResolution, ResolutionMethod
 from carbonrun.meter import MeasurementSummary, MeterConfig, PowerSample, summarize
 from carbonrun.report import (
@@ -216,10 +216,15 @@ def test_readme_sample_run_is_the_golden_report():
 class TestInternalConsistency:
     def test_kg_recomputable_from_fields(self, snapshot, doc):
         region = snapshot.regions[doc.resolution.region_id]
-        recomputed = emissions_for(
-            doc.readings.adjusted_kwh, region, snapshot.intensities
-        ).kg_co2
+        recomputed = doc.readings.adjusted_kwh * region.kg_co2_per_kwh
         assert doc.summary.kg_co2 == pytest.approx(recomputed, rel=1e-9)
+
+    def test_headline_equals_its_comparison_row(self, doc):
+        # the report is located at Wyoming, the US group's highest
+        us = doc.comparisons[0]
+        highest = us.rows[-1]
+        assert (us.group, highest.rank, highest.region_id) == ("us", "highest", "us-wy")
+        assert highest.kg_co2 == doc.summary.kg_co2
 
     def test_emissions_use_adjusted_energy(self, doc):
         assert doc.summary.kwh == doc.readings.adjusted_kwh
