@@ -9,8 +9,10 @@ measured energy grows with work actually done.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
+from .records import Checked
 
 DEFAULT_UNIT_OPS = 50_000_000
 
@@ -38,13 +40,16 @@ class WorkloadShape(Enum):
             raise ValueError(f"unknown shape {name!r}; choose one of {choices}") from None
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class _Spec(NamedTuple):
     shape: WorkloadShape
     n: int
     unit_ops: int = DEFAULT_UNIT_OPS
 
-    def __post_init__(self):
+
+class WorkloadSpec(Checked, _Spec):
+    __slots__ = ()
+
+    def _check(self):
         if self.n < 0:
             raise GuardExceeded(f"workload size must be non-negative, got {self.n}")
         if self.shape is WorkloadShape.EXPONENTIAL and self.n > EXP_MAX_N:

@@ -49,8 +49,8 @@ def _fail(message: str) -> int:
 def _exit(code: int) -> NoReturn:
     """Exit with `code` once the report is out, with nothing left to collect.
 
-    Importing the CLI leaves ~18k GC-tracked objects (11k of them in a bare
-    interpreter; the rest argparse, urllib, dataclasses and this package)
+    Importing the CLI leaves ~17k GC-tracked objects (11k of them in a bare
+    interpreter; the rest argparse, urllib and this package)
     that interpreter shutdown would scan in full collections, milliseconds
     after the child has exited.  Freezing them first skips that scan.
     Freezing any earlier would pin garbage that the run could otherwise
@@ -173,7 +173,13 @@ def run_measured(
         command=argv[0],
         arguments=tuple(argv[1:]),
     )
-    _emit(doc, options.fmt, options.out, options.report_to)
+    try:
+        _emit(doc, options.fmt, options.out, options.report_to)
+    except OSError as exc:
+        if not options.out:
+            raise  # a closed stream, which `main` handles
+        print(f"carbonrun: error: cannot write report: {exc}", file=sys.stderr)
+        return exit_code, None
     return exit_code, doc
 
 
@@ -246,10 +252,7 @@ def cmd_regions(options: argparse.Namespace) -> int:
 
 
 def _workload_spec(options: argparse.Namespace) -> WorkloadSpec:
-    kwargs = {"shape": WorkloadShape.parse(options.shape), "n": options.n}
-    if options.unit_ops is not None:
-        kwargs["unit_ops"] = options.unit_ops
-    return WorkloadSpec(**kwargs)
+    return WorkloadSpec(WorkloadShape.parse(options.shape), options.n, options.unit_ops)
 
 
 def cmd_bench(options: argparse.Namespace) -> int:
@@ -290,6 +293,8 @@ def _existing_file(path: str) -> str:
 def _output_file(path: str) -> str:
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise argparse.ArgumentTypeError(f"the directory of file {path!r} does not exist")
     if os.path.exists(path) and not os.access(path, os.W_OK):
         raise argparse.ArgumentTypeError(f"file {path!r} is not writable")
     return path
@@ -303,11 +308,12 @@ def _add_measurement_options(parser: argparse.ArgumentParser) -> None:
         help="Write the report to a file instead of a stream.")
     add("--report-to", choices=["stderr", "stdout"], default="stderr",
         help="Stream for the report when --out is not given (default: %(default)s).")
-    add("--efficiency", type=float, default=MeterConfig.psu_efficiency, metavar="FLOAT",
+    defaults = MeterConfig._field_defaults
+    add("--efficiency", type=float, default=defaults["psu_efficiency"], metavar="FLOAT",
         help="Power supply efficiency in (0, 1] (default: %(default)s).")
-    add("--sample-interval", type=float, default=MeterConfig.sample_interval_s,
+    add("--sample-interval", type=float, default=defaults["sample_interval_s"],
         metavar="FLOAT", help="Seconds between energy counter reads (default: %(default)s).")
-    add("--baseline-duration", type=float, default=MeterConfig.baseline_duration_s,
+    add("--baseline-duration", type=float, default=defaults["baseline_duration_s"],
         metavar="FLOAT",
         help="Seconds of idle sampling before the command starts (default: %(default)s).")
     add("--no-baseline", action="store_true",
@@ -335,6 +341,7 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("shape", choices=[s.value for s in WorkloadShape], metavar="SHAPE")
     parser.add_argument("n", type=int, metavar="N")
     parser.add_argument("--unit-ops", type=int, metavar="INT",
+                        default=WorkloadSpec._field_defaults["unit_ops"],
                         help="Additions per work unit (default 50,000,000).")
 
 

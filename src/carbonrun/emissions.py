@@ -9,12 +9,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .griddata import DatasetSnapshot, RegionGroup, RegionRecord, read_data
+from .records import Checked
 
 EQUIV_DATA_FILE = "equivalencies.csv"
-EQUIV_KEYS = ("kg_per_mile", "kg_per_tv_minute", "kg_per_household_day")
 
 GROUP_LABELS = {
     RegionGroup.US: "United States",
@@ -29,15 +29,17 @@ class EquivalencyError(Exception):
     """The equivalency factor table is missing keys or has bad values."""
 
 
-@dataclass(frozen=True)
-class EquivalencyFactors:
+class _Factors(NamedTuple):
     kg_per_mile: float
     kg_per_tv_minute: float
     kg_per_household_day: float
 
-    def __post_init__(self):
-        for key in EQUIV_KEYS:
-            value = getattr(self, key)
+
+class EquivalencyFactors(Checked, _Factors):
+    __slots__ = ()
+
+    def _check(self):
+        for key, value in zip(self._fields, self):
             if not math.isfinite(value) or value <= 0:
                 raise EquivalencyError(f"{key}={value} must be a positive number")
 
@@ -58,7 +60,7 @@ class EquivalencyFactors:
             )
         for row in rows:
             key = (row["key"] or "").strip()
-            if key not in EQUIV_KEYS:
+            if key not in cls._fields:
                 continue
             try:
                 values[key] = float(row["value"])
@@ -66,7 +68,7 @@ class EquivalencyFactors:
                 raise EquivalencyError(
                     f"equivalency {key}: bad value {row['value']!r}"
                 ) from None
-        missing = [k for k in EQUIV_KEYS if k not in values]
+        missing = [k for k in cls._fields if k not in values]
         if missing:
             raise EquivalencyError(f"equivalency table missing {missing}")
         return cls(**values)
@@ -76,23 +78,20 @@ def load_equivalency_factors(path: str | None = None) -> EquivalencyFactors:
     return EquivalencyFactors.from_csv(read_data(path, EQUIV_DATA_FILE))
 
 
-@dataclass(frozen=True)
-class Equivalents:
+class Equivalents(NamedTuple):
     miles_driven: float
     tv_minutes: float
     household_day_percent: float
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     rank: str
     region_id: str
     region_name: str
     kg_co2: float
 
 
-@dataclass(frozen=True)
-class ComparisonPanel:
+class ComparisonPanel(NamedTuple):
     """Same energy priced at a group's lowest/median/highest regions."""
 
     group: str

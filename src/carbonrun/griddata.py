@@ -19,14 +19,15 @@ once, at load; a group left with no member is a `SchemaError` there.
 from __future__ import annotations
 
 import csv
-import difflib
 import io
 import math
 import os
 import re
 from collections.abc import Container, Iterator
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
+
+from .records import Checked
 
 KG_PER_LB = 0.453592
 
@@ -104,49 +105,43 @@ class RegionGroup(Enum):
     GLOBAL = "global"  # countries outside the US and Europe
 
 
-class _PerFuel:
-    """A value for each of FUELS, held in a field named after the fuel."""
-
-    def as_dict(self) -> dict[str, float]:
-        return {fuel: getattr(self, fuel) for fuel in FUELS}
-
-
-@dataclass(frozen=True)
-class EnergyMix(_PerFuel):
-    """Generation shares by fuel; fractions of total, summing to ~1."""
+class _PerFuel(NamedTuple):
+    """A value for each of FUELS, in its order."""
 
     coal: float
     oil: float
     natural_gas: float
     low_carbon: float
 
-    def __post_init__(self):
-        for name, value in self.as_dict().items():
+
+class EnergyMix(Checked, _PerFuel):
+    """Generation shares by fuel; fractions of total, summing to ~1."""
+
+    __slots__ = ()
+
+    def _check(self):
+        for name, value in zip(FUELS, self):
             if not math.isfinite(value) or not 0.0 <= value <= 1.0:
                 raise ValueError(f"mix fraction {name}={value} outside [0, 1]")
-        total = sum(self.as_dict().values())
+        total = sum(self)
         if not 0.99 <= total <= 1.01:
             raise ValueError(f"mix fractions sum to {total}, expected ~1")
 
-    def weighted_kg_per_mwh(self, intensities: "FuelIntensities") -> float:
+    def weighted_kg_per_mwh(self, intensities: FuelIntensities) -> float:
         # a loop, not sum(): from Python 3.12 sum() compensates float rounding
         total = 0.0
-        for fuel in FUELS:
-            total += getattr(self, fuel) * getattr(intensities, fuel)
+        for share, intensity in zip(self, intensities):
+            total += share * intensity
         return total
 
 
-@dataclass(frozen=True)
-class FuelIntensities(_PerFuel):
+class FuelIntensities(Checked, _PerFuel):
     """Per-fuel emission intensities in kg CO2 per MWh generated."""
 
-    coal: float
-    oil: float
-    natural_gas: float
-    low_carbon: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, value in self.as_dict().items():
+    def _check(self):
+        for name, value in zip(FUELS, self):
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"intensity {name}={value} must be >= 0")
 
@@ -158,8 +153,7 @@ CANONICAL_INTENSITIES = FuelIntensities(
 )
 
 
-@dataclass(frozen=True)
-class RegionRecord:
+class RegionRecord(NamedTuple):
     id: str
     display_name: str
     kind: RegionKind
@@ -184,8 +178,7 @@ class RegionRecord:
 Extremes = tuple[RegionRecord, RegionRecord, RegionRecord]
 
 
-@dataclass(frozen=True)
-class StateRow:
+class StateRow(NamedTuple):
     """One parsed US snapshot row, keeping the per-fuel columns."""
 
     record: RegionRecord
@@ -213,14 +206,11 @@ def _parse_nonnegative(fields: dict[str, str], column: str, lineno: int) -> floa
 
 def _parse_mix(fields: dict[str, str], lineno: int, clamp: bool = False) -> EnergyMix:
     """The row's mix; `clamp` zeroes negligibly negative shares first."""
-    fracs = {}
-    for fuel, column in zip(FUELS, MIX_COLUMNS):
-        value = _parse_float(fields, column, lineno)
-        if clamp and NEGLIGIBLE_NEGATIVE < value < 0.0:
-            value = 0.0
-        fracs[fuel] = value
+    fracs = [_parse_float(fields, column, lineno) for column in MIX_COLUMNS]
+    if clamp:
+        fracs = [0.0 if NEGLIGIBLE_NEGATIVE < value < 0.0 else value for value in fracs]
     try:
-        return EnergyMix(**fracs)
+        return EnergyMix(*fracs)
     except ValueError as exc:
         raise SchemaError(f"line {lineno}: {exc}") from None
 
@@ -345,11 +335,12 @@ def derive_fuel_intensity(
     return FuelIntensities(**values, low_carbon=0.0)
 
 
-@dataclass(frozen=True)
 class DatasetSnapshot:
-    regions: dict[str, RegionRecord]
-    _index: dict[str, str] = field(repr=False)
-    _extremes: dict[RegionGroup, Extremes] = field(repr=False)
+    """Every region by id, with the name index and each group's extremes."""
+
+    def __init__(self, regions: dict[str, RegionRecord], index: dict[str, str],
+                 extremes: dict[RegionGroup, Extremes]):
+        self.regions, self._index, self._extremes = regions, index, extremes
 
     @classmethod
     def load(
@@ -391,7 +382,7 @@ class DatasetSnapshot:
                 # first registration wins: US states shadow same-named
                 # countries (e.g. Georgia), ids are unique anyway
                 index.setdefault(norm, rec.id)
-        return cls(regions=regions, _index=index, _extremes=extremes)
+        return cls(regions, index, extremes)
 
     def lookup(self, key: str) -> RegionRecord:
         """Resolve a user-supplied region name or id, case-insensitively.
@@ -407,6 +398,8 @@ class DatasetSnapshot:
         region_id = self._index.get(norm)
         if region_id is not None:
             return self.regions[region_id]
+        import difflib  # only a miss needs it, before any child starts
+
         suggestions = difflib.get_close_matches(norm, self._index.keys(), n=3)
         display = []
         for s in suggestions:
@@ -453,7 +446,7 @@ def _build_aggregates(
     # generation is in the snapshot, so totals are reconstructed from the
     # fossil share of the mix.
     weighted_rate = 0.0
-    weighted_mix = dict.fromkeys(FUELS, 0.0)
+    weighted_mix = [0.0] * len(FUELS)
     total_weight = 0.0
     for row in states:
         mix = row.record.mix
@@ -463,31 +456,27 @@ def _build_aggregates(
         weight = sum(row.generation_mwh.values()) / fossil_frac
         total_weight += weight
         weighted_rate += weight * row.record.direct_rate_lbs_per_mwh
-        for fuel, frac in mix.as_dict().items():
-            weighted_mix[fuel] += weight * frac
+        weighted_mix = [total + weight * frac for total, frac in zip(weighted_mix, mix)]
     if total_weight > 0:
         aggregates.append(
             RegionRecord(
                 id="us-average",
                 display_name="United States (average)",
                 kind=RegionKind.AGGREGATE,
-                mix=EnergyMix(**{f: v / total_weight for f, v in weighted_mix.items()}),
+                mix=EnergyMix(*(total / total_weight for total in weighted_mix)),
                 direct_rate_lbs_per_mwh=weighted_rate / total_weight,
             )
         )
 
     # load has checked that Europe has members
     europe = [c for c in countries if c.group is RegionGroup.EUROPE]
-    mean_mix = {
-        fuel: sum(getattr(c.mix, fuel) for c in europe) / len(europe)
-        for fuel in FUELS
-    }
+    mean_mix = [sum(shares) / len(europe) for shares in zip(*(c.mix for c in europe))]
     aggregates.append(
         RegionRecord(
             id="europe-average",
             display_name="Europe (average)",
             kind=RegionKind.AGGREGATE,
-            mix=EnergyMix(**mean_mix),
+            mix=EnergyMix(*mean_mix),
             direct_rate_lbs_per_mwh=None,
         )
     )

@@ -13,8 +13,8 @@ import http.client
 import json
 import os
 import urllib.request
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .griddata import DatasetSnapshot, RegionKind, RegionRecord, UnknownRegion
 
@@ -36,8 +36,7 @@ class ResolutionMethod(Enum):
     DEFAULT_FALLBACK = "default_fallback"
 
 
-@dataclass(frozen=True)
-class LocationResolution:
+class LocationResolution(NamedTuple):
     region: RegionRecord
     method: ResolutionMethod
     detail: str

@@ -26,9 +26,11 @@ import subprocess
 import threading
 import time
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import chain, compress, count, groupby, islice
 from operator import ge, gt, sub
+from typing import NamedTuple
+
+from .records import Checked
 
 POWERCAP_ROOT = "/sys/class/powercap/intel-rapl"
 UJ_PER_J = 1_000_000
@@ -64,26 +66,32 @@ class EmptyProcessSamples(Exception):
     """The measured process exited before a single power sample completed."""
 
 
-@dataclass(frozen=True)
-class PowerSample:
+class _Sample(NamedTuple):
     watts: float
     interval_s: float
 
-    def __post_init__(self):
+
+class PowerSample(Checked, _Sample):
+    __slots__ = ()
+
+    def _check(self):
         if self.watts < 0:
             raise ValueError(f"negative power sample: {self.watts}")
         if self.interval_s <= 0:
             raise ValueError(f"non-positive sample interval: {self.interval_s}")
 
 
-@dataclass(frozen=True)
-class MeterConfig:
+class _Config(NamedTuple):
     sample_interval_s: float = 0.1
     psu_efficiency: float = 0.8
     baseline_duration_s: float = 5.0
     gpu_enabled: bool = False
 
-    def __post_init__(self):
+
+class MeterConfig(Checked, _Config):
+    __slots__ = ()
+
+    def _check(self):
         if not 0.0 < self.psu_efficiency <= 1.0:
             raise ValueError(
                 f"psu_efficiency must be in (0, 1], got {self.psu_efficiency}"
@@ -99,8 +107,7 @@ class MeterConfig:
                                  f"{threading.TIMEOUT_MAX:g}s, got {value}")
 
 
-@dataclass(frozen=True)
-class MeasurementSummary:
+class MeasurementSummary(NamedTuple):
     baseline_watts: float
     total_watts: float
     process_watts: float

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from html import escape
-from typing import get_args, get_origin, get_type_hints
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .charts import bar_panel, pie_chart
@@ -54,8 +53,7 @@ LOCAL_BAR_COLOR = "#2a7ab0"
 WIDTH = 69
 
 
-@dataclass(frozen=True)
-class ReportHeader:
+class ReportHeader(NamedTuple):
     command: str
     arguments: tuple[str, ...]
 
@@ -64,29 +62,25 @@ class ReportHeader:
         return " ".join((self.command, *self.arguments))
 
 
-@dataclass(frozen=True)
-class MixSection:
+class MixSection(NamedTuple):
     region_id: str
     region_name: str
     mix: EnergyMix
 
 
-@dataclass(frozen=True)
-class SummarySection:
+class SummarySection(NamedTuple):
     kwh: float
     kg_co2: float
     intensity_kg_per_kwh: float
 
 
-@dataclass(frozen=True)
-class ResolutionInfo:
+class ResolutionInfo(NamedTuple):
     method: str
     region_id: str
     detail: str
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(NamedTuple):
     schema_version: str
     generated_at: str
     tool_version: str
@@ -249,11 +243,11 @@ def render_text(doc: ReportDocument) -> str:
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
-def _encode(value: object) -> object:
-    """A dataclass as an object of its fields, a tuple as a list."""
-    if isinstance(value, tuple):
+def _encode(value: tuple) -> object:
+    """A record as an object of its fields, any other tuple as a list."""
+    if not hasattr(value, "_fields"):
         return [x if type(x) in _SCALARS else _encode(x) for x in value]
-    obj = {k: x if type(x) in _SCALARS else _encode(x) for k, x in vars(value).items()}
+    obj = {k: x if type(x) in _SCALARS else _encode(x) for k, x in value._asdict().items()}
     if isinstance(value, MixSection):
         obj.update(obj.pop("mix"))
     return obj
@@ -267,15 +261,12 @@ def render_json(doc: ReportDocument) -> bytes:
 
 @functools.cache
 def _schema(cls: type) -> tuple[dict[str, object], frozenset[str]]:
-    """A dataclass's field types, and the names of the fields with no default."""
-    required = frozenset(
-        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
-    )
-    return get_type_hints(cls), required
+    """A record's field types, and the names of the fields with no default."""
+    return get_type_hints(cls), frozenset(cls._fields) - cls._field_defaults.keys()
 
 
 def _decode(cls, data):
-    """Build `cls` from its JSON form: dataclasses, `tuple[X, ...]` and scalars.
+    """Build `cls` from its JSON form: records, `tuple[X, ...]` and scalars.
 
     A scalar must have its field's type, except that an int stands for a
     float; a bool is never a number.
@@ -294,7 +285,7 @@ def _decode(cls, data):
     hints, required = _schema(cls)
     if cls is MixSection:
         data = dict(data)
-        data["mix"] = {k: data.pop(k) for k in _schema(EnergyMix)[0] if k in data}
+        data["mix"] = {k: data.pop(k) for k in EnergyMix._fields if k in data}
     unknown = data.keys() - hints.keys()
     if unknown:
         raise ValueError(f"{cls.__name__}: unknown keys {sorted(unknown)}")

@@ -38,10 +38,9 @@ import io
 import math
 from array import array
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
 from operator import add, lt, mod, ne, sub
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .meter import UJ_PER_J, EnergyIntegral, fold_columns
 
@@ -375,8 +374,7 @@ def _block_order(domains: list[str], ordered: list[str], whole: int) -> list[int
     return sorted(rows, key=targets.__getitem__)
 
 
-@dataclass(frozen=True, slots=True)
-class EnergyCounterReading:  # one row of a trace
+class EnergyCounterReading(NamedTuple):  # one row of a trace
     domain_id: str
     energy_uj: int
     max_range_uj: int

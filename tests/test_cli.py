@@ -245,6 +245,27 @@ class TestStdioTransparency:
         assert proc.returncode == 0
         assert out.read_bytes().startswith(b"<!DOCTYPE html>")
 
+    @pytest.mark.parametrize("parent", ["missing", "a-file"])
+    def test_out_outside_a_directory_exits_2_before_child(self, trace_file, tmp_path, parent):
+        (tmp_path / "a-file").write_text("")
+        out = tmp_path / parent / "report.txt"
+        marker = tmp_path / "child-ran"
+        proc = run_cli("run", "--trace", trace_file, "--offline", "--out", str(out),
+                       "--", "touch", str(marker))
+        assert proc.returncode == 2
+        assert f"the directory of file {str(out)!r} does not exist" in proc.stderr
+        assert not marker.exists()
+
+    def test_unwritable_report_keeps_the_child_exit_code(self, trace_file, tmp_path):
+        folder = tmp_path / "gone"
+        folder.mkdir()
+        out = folder / "report.txt"
+        proc = run_cli("run", "--trace", trace_file, "--offline", "--out", str(out),
+                       "--", "sh", "-c", f"rmdir '{folder}'; exit 3")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("carbonrun: error: cannot write report: ")
+        assert "Traceback" not in proc.stderr
+
 
 class TestMeasurement:
     def test_json_report_values(self, trace_file):
@@ -356,6 +377,20 @@ class TestDependencies:
              "import sys, carbonrun.cli; "
              f"print(sorted(set({third_party!r}) & set(sys.modules)))"],
             capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_import_leaves_out_dataclasses_inspect_and_difflib(self):
+        # -S: no site hook, so only the CLI's own imports count
+        heavy = ["dataclasses", "inspect", "difflib"]
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys, carbonrun.cli; "
+             f"print(sorted(set({heavy!r}) & set(sys.modules)))"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"

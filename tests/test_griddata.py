@@ -91,7 +91,14 @@ GOOD_STATE = "us-zz,Testonia,0.5,0.1,0.2,0.2,1000.0,500000,100000,200000,500.0,8
 class TestEnergyMix:
     def test_valid(self):
         mix = EnergyMix(0.287, 0.229, 0.339, 0.144)
-        assert mix.as_dict()["natural_gas"] == 0.339
+        assert mix._asdict()["natural_gas"] == 0.339
+        # the checks and the weighted sum pair fields with FUELS by position
+        assert EnergyMix._fields == FuelIntensities._fields == griddata.FUELS
+
+    def test_replace_checks_the_new_values(self):
+        mix = EnergyMix(0.287, 0.229, 0.339, 0.144)
+        with pytest.raises(ValueError, match="outside"):
+            mix._replace(coal=1.5)
 
     @pytest.mark.parametrize("bad", [-0.01, 1.01, float("nan")])
     def test_fraction_range(self, bad):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -151,7 +150,7 @@ class TestJsonRendering:
         assert payload["readings"]["measured_kwh"] == doc.readings.measured_kwh
 
     def test_timestamp_only_structural_diff(self, doc):
-        other = dataclasses.replace(doc, generated_at="2017-01-01T00:00:00Z")
+        other = doc._replace(generated_at="2017-01-01T00:00:00Z")
         a = json.loads(render_json(doc))
         b = json.loads(render_json(other))
         assert a.pop("generated_at") != b.pop("generated_at")
@@ -202,6 +201,22 @@ class TestJsonRendering:
         payload = json.loads(render_json(doc))
         payload["summary"]["kg_co2"] = 3
         assert parse_report_json(json.dumps(payload)).summary.kg_co2 == 3
+
+    # a value of the right type that the record's own check refuses
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("mix", "coal", 1.5, "mix fraction coal=1.5 outside"),
+        ("assumptions", "oil", -1, "intensity oil=-1 must be >= 0"),
+    ])
+    def test_parse_checks_values_as_the_record_does(self, section, key, value, message):
+        payload = json.loads((GOLDEN_DIR / "report.json").read_bytes())
+        payload[section][key] = value
+        with pytest.raises(ValueError, match=message):
+            parse_report_json(json.dumps(payload))
+
+    def test_records_are_immutable(self, doc, snapshot):
+        for record, field in ((doc, "generated_at"), (snapshot.lookup("wyoming"), "id")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, "x")
 
 
 def test_readme_sample_run_is_the_golden_report():
