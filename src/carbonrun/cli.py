@@ -150,19 +150,16 @@ def run_measured(
     # a child killed by signal N reports -N; use the shell's 128+N style
     exit_code = 128 - returncode if returncode < 0 else returncode
     try:
-        samples = session.stop()
+        energy = session.stop()
     except ReadFailure as exc:
         print(f"carbonrun: error: sampling stopped: {exc}", file=sys.stderr)
         return exit_code, None
     duration = source.span_s if trace_path else wall
 
     try:
-        summary = summarize(baseline, samples, duration, config)
+        summary = summarize(baseline, energy, duration, config)
     except EmptyProcessSamples as exc:
-        reason = exc if not session.dropped else (
-            f"every counter pair ({session.dropped}) was dropped: a counter fell "
-            "between reads (wrap or reset); nothing to report")
-        print(f"carbonrun: error: {reason}", file=sys.stderr)
+        print(f"carbonrun: error: {exc}", file=sys.stderr)
         return exit_code, None
 
     doc = build_report(
@@ -291,6 +288,8 @@ def _existing_file(path: str) -> str:
 
 
 def _output_file(path: str) -> str:
+    if not path:
+        raise argparse.ArgumentTypeError("the report file name is empty")
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
     if not os.path.isdir(os.path.dirname(path) or "."):

@@ -9,7 +9,8 @@ wrap; a pair in which one fell is dropped rather than reconstructed, because
 it may have wrapped more than once between reads, and `summarize` bridges
 its time at the integrated mean power.  The idle baseline and the child's
 run are sampled by one loop (`SamplingSession`), which keeps only the
-previous instant, so memory stays constant however long the run.  A
+previous instant, so memory stays constant however long the run, and each
+ends as one `Energy`: joules, seconds, kept pairs and dropped pairs.  A
 replayed trace runs in virtual time and is integrated while it is read:
 `fold_columns` folds each chunk of its instants with the same pair rule, so
 a replay, too, keeps only the instant that joins one chunk to the next.
@@ -63,22 +64,22 @@ class ReadFailure(Exception):
 
 
 class EmptyProcessSamples(Exception):
-    """The measured process exited before a single power sample completed."""
+    """No counter pair of the measured process was kept."""
 
 
-class _Sample(NamedTuple):
-    watts: float
-    interval_s: float
+class Energy(NamedTuple):
+    """What the counters recorded over a run: the kept pairs' joules and
+    seconds, and the numbers of kept and dropped pairs."""
 
+    joules: float = 0.0
+    seconds: float = 0.0
+    pairs: int = 0
+    dropped: int = 0
 
-class PowerSample(Checked, _Sample):
-    __slots__ = ()
-
-    def _check(self):
-        if self.watts < 0:
-            raise ValueError(f"negative power sample: {self.watts}")
-        if self.interval_s <= 0:
-            raise ValueError(f"non-positive sample interval: {self.interval_s}")
+    @property
+    def watts(self) -> float:
+        """Mean power over the kept pairs; 0 W when none was kept."""
+        return self.joules / self.seconds if self.pairs else 0.0
 
 
 class _Config(NamedTuple):
@@ -310,18 +311,15 @@ class EnergyIntegral:
         self.seconds += seconds
         self.pairs += 1
 
-    def add_totals(self, joules: float, seconds: float, pairs: int, dropped: int) -> None:
+    def add_totals(self, energy: Energy) -> None:
         """Add pairs already integrated elsewhere (see `TraceSource`)."""
-        self.joules += joules
-        self.seconds += seconds
-        self.pairs += pairs
-        self.dropped += dropped
+        self.joules += energy.joules
+        self.seconds += energy.seconds
+        self.pairs += energy.pairs
+        self.dropped += energy.dropped
 
-    def samples(self) -> list[PowerSample]:
-        """The integral as one sample (watts = joules / seconds), or none."""
-        if not self.pairs:
-            return []
-        return [PowerSample(watts=self.joules / self.seconds, interval_s=self.seconds)]
+    def energy(self) -> Energy:
+        return Energy(self.joules, self.seconds, self.pairs, self.dropped)
 
 
 class SamplingSession:
@@ -335,8 +333,8 @@ class SamplingSession:
     power polled beside each, are folded into an `EnergyIntegral` as they
     arrive.  A trace source runs in virtual time and was integrated while
     it was read, before the child started: the thread only adds its totals
-    to the integral (`TraceSource.fold_into`).  `pairs` and `dropped` count
-    the pairs kept and dropped.
+    to the integral (`TraceSource.fold_into`).  `stop()` returns the
+    integral as an `Energy`.
 
     The sampler's CPU lands in the counters it reads, so each tick is kept
     cheap.  The stop gate is a plain lock the session holds until `stop()`
@@ -363,19 +361,11 @@ class SamplingSession:
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._integral = EnergyIntegral()
 
-    @property
-    def pairs(self) -> int:
-        return self._integral.pairs
-
-    @property
-    def dropped(self) -> int:
-        return self._integral.dropped
-
     def start(self) -> None:
         self._thread.start()
 
-    def stop(self) -> list[PowerSample]:
-        """Stop sampling; return the integrated sample (empty if no pair was kept).
+    def stop(self) -> Energy:
+        """Stop sampling; return what the counters recorded since `start()`.
 
         Raises the `ReadFailure` that stopped the sampler early, if any.
         """
@@ -385,7 +375,7 @@ class SamplingSession:
         self._thread.join()
         if self._failure is not None:
             raise self._failure
-        return self._integral.samples()
+        return self._integral.energy()
 
     def _poll_once(self) -> None:
         instant = self._source.next_instant()
@@ -409,55 +399,52 @@ class SamplingSession:
             self._failure = exc
 
 
-def collect_baseline(source, config: MeterConfig) -> list[PowerSample]:
+def collect_baseline(source, config: MeterConfig) -> Energy:
     """Integrate idle power for `baseline_duration_s` before the process
     starts, with the sampling loop of the run itself (`SamplingSession`).
 
-    Returns the integrated sample, or an empty list when no pair was kept.
-    A counter that turns unreadable ends the wait early, and its
-    `ReadFailure` is raised.
+    Returns the idle `Energy`; a zero one when the duration is 0, which
+    reads no counter.  A counter that turns unreadable ends the wait early,
+    and its `ReadFailure` is raised.
     """
     if config.baseline_duration_s == 0:
-        return []
+        return Energy()
     session = SamplingSession(source, config)
     session.start()
     session._thread.join(config.baseline_duration_s)
     return session.stop()
 
 
-def _mean_watts(samples: list[PowerSample]) -> float:
-    """Time-weighted mean power: sum of watts * seconds over total seconds."""
-    joules = math.fsum(s.watts * s.interval_s for s in samples)
-    return joules / math.fsum(s.interval_s for s in samples)
-
-
 def summarize(
-    baseline: list[PowerSample],
-    process: list[PowerSample],
-    duration_s: float,
-    config: MeterConfig,
+    baseline: Energy, process: Energy, duration_s: float, config: MeterConfig
 ) -> MeasurementSummary:
-    """Reduce two sample streams to the quantities the report needs.
+    """Reduce the idle and the process `Energy` to the quantities the
+    report needs.
 
-    Each stream's power is its time-weighted mean, sum(w * dt) / sum(dt);
-    for the integrated sample `SamplingSession.stop` returns, that is joules
-    over covered seconds.  Process power is total minus baseline power,
-    clamped at zero (noise can push the difference negative for near-idle
-    workloads; the clamp is flagged so the report can say so).  Energy is
-    power times wall duration, so time no kept pair covers (a pair dropped
-    for a wrap) is bridged at the mean.  The wall-plug
-    figure divides by PSU efficiency since the counters sit downstream of
-    the power supply.
+    Each one's power is its joules over its kept seconds; a baseline that
+    kept no pair counts as 0 W, and a process that kept none raises
+    `EmptyProcessSamples`, worded for why.  Process power is total minus
+    baseline power, clamped at zero (noise can push the difference negative
+    for near-idle workloads; the clamp is flagged so the report can say so).
+    Energy is power times wall duration, so time no kept pair covers (a
+    pair dropped for a wrap) is bridged at the mean.  The wall-plug figure
+    divides by PSU efficiency since the counters sit downstream of the
+    power supply.
     """
     if duration_s <= 0:
         raise ValueError(f"non-positive duration: {duration_s}")
-    if not process:
+    if process.dropped and not process.pairs:
+        raise EmptyProcessSamples(
+            f"every counter pair ({process.dropped}) was dropped: a counter fell "
+            "between reads (wrap or reset); nothing to report"
+        )
+    if not process.pairs:
         raise EmptyProcessSamples(
             "process exited before one full sampling interval; "
             "nothing to report (try a smaller --sample-interval)"
         )
-    baseline_watts = _mean_watts(baseline) if baseline else 0.0
-    total_watts = _mean_watts(process)
+    baseline_watts = baseline.watts
+    total_watts = process.watts
     raw = total_watts - baseline_watts
     process_watts = max(raw, 0.0)
     measured_kwh = process_watts * duration_s * KWH_PER_J

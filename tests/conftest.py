@@ -1,11 +1,12 @@
 import gc
+import math
 import os
 
 import pytest
 
 import carbonrun
 from carbonrun.griddata import DatasetSnapshot
-from carbonrun.meter import UJ_PER_J, PowerSample
+from carbonrun.meter import UJ_PER_J, Energy
 
 MAX_RANGE_UJ = 262_143_328_850
 
@@ -59,19 +60,17 @@ def pair_energy(prev, cur):
 
 
 def combine_instants(instants):
-    """One power sample per kept pair of consecutive instants, the per-pair
-    reference for the running integral that metering keeps instead.
+    """The `Energy` of consecutive instants, summed pair by pair: the
+    per-pair reference for the running integral that metering keeps.
 
-    Watts are the pair's joules over its seconds (see `pair_energy`);
-    dropped pairs yield no sample.
+    Kept pairs (see `pair_energy`) add their joules and seconds, each summed
+    with `math.fsum`; dropped pairs are only counted.
     """
-    samples = []
-    for prev, cur in zip(instants, instants[1:]):
-        pair = pair_energy(prev, cur)
-        if pair is not None:
-            joules, seconds = pair
-            samples.append(PowerSample(watts=joules / seconds, interval_s=seconds))
-    return samples
+    pairs = [pair_energy(prev, cur) for prev, cur in zip(instants, instants[1:])]
+    kept = [pair for pair in pairs if pair is not None]
+    return Energy(math.fsum(joules for joules, _ in kept),
+                  math.fsum(seconds for _, seconds in kept),
+                  len(kept), len(pairs) - len(kept))
 
 
 @pytest.fixture(scope="session")

@@ -25,11 +25,7 @@ from carbonrun.griddata import (
     derive_fuel_intensity,
     parse_egrid,
 )
-from carbonrun.meter import (
-    MeterConfig,
-    PowerSample,
-    summarize,
-)
+from carbonrun.meter import Energy, MeterConfig, summarize
 from carbonrun.report import parse_report_json, render_html, render_json, render_text
 from carbonrun.traces import TraceSource, parse_trace
 
@@ -78,8 +74,9 @@ def test_02_world_mix_consistency(capsys, snapshot):
 
 def test_03_reference_readings_reproduction(capsys):
     with criterion(capsys, 3, "2.35/15.53 W over 1000 s -> 13.18 W, 0.00366 kWh (+-2e-5)"):
-        baseline = [PowerSample(watts=2.35, interval_s=0.1)] * 20
-        process = [PowerSample(watts=15.53, interval_s=0.1)] * 20
+        # 20 pairs of 0.1 s each
+        baseline = Energy(joules=4.7, seconds=2.0, pairs=20)
+        process = Energy(joules=31.06, seconds=2.0, pairs=20)
         summary = summarize(baseline, process, 1000.0, MeterConfig())
         # exact up to float mean accumulation, far below the 2-decimal display
         assert abs(summary.process_watts - 13.18) < 1e-9
@@ -118,12 +115,12 @@ def test_06_trace_oracle_and_psu_scaling(capsys):
         for watts in (5.0, 10.0, 20.0):
             text = constant_trace(watts, 30)
             source = TraceSource.from_csv(text)
-            samples = combine_instants(parse_trace(text))
-            raw = summarize([], samples, source.span_s,
+            energy = combine_instants(parse_trace(text))
+            raw = summarize(Energy(), energy, source.span_s,
                             MeterConfig(psu_efficiency=1.0))
             expected_kwh = watts * 30 / 3.6e6
             assert math.isclose(raw.measured_kwh, expected_kwh, rel_tol=1e-4)
-            adjusted = summarize([], samples, source.span_s,
+            adjusted = summarize(Energy(), energy, source.span_s,
                                  MeterConfig(psu_efficiency=0.8))
             assert adjusted.adjusted_kwh == adjusted.measured_kwh * 1.25
 
@@ -164,9 +161,9 @@ class TestWrapProperties:
     @given(case=wrapping_trace())
     def test_wraps_never_negative_and_lose_one_pair_each(self, case):
         text, n, wraps = case
-        samples = combine_instants(parse_trace(text))
-        assert all(s.watts >= 0 for s in samples)
-        assert len(samples) == (n - 1) - wraps
+        energy = combine_instants(parse_trace(text))
+        assert energy.joules >= 0
+        assert (energy.pairs, energy.dropped) == ((n - 1) - wraps, wraps)
 
     def test_07_verdict_line(self, capsys):
         with criterion(capsys, 7, "wrap property suite: 1000 cases, no negatives, one pair lost per wrap"):

@@ -4,6 +4,7 @@ import gc
 import importlib
 import json
 import os
+import random
 import re
 import runpy
 import signal
@@ -48,6 +49,22 @@ def measured_run(trace_file, *extra, child=("true",), fmt="json"):
         "run", "--trace", trace_file, "--offline", "--format", fmt,
         "--report-to", "stdout", *extra, "--", *child,
     )
+
+
+def jittered_wrap_trace():
+    """Two domains, 12 W and 3 W, over 200 instants about 0.1 s apart with up
+    to 20 ms of jitter each; pkg-1 starts 20 J below its range and wraps once."""
+    rng = random.Random(15)
+    max_range = 1_000_000_000
+    t, counters = 0.0, [7_000_000, max_range - 20_000_000]
+    rows = []
+    for _ in range(200):
+        rows += [f"{t!r},pkg-{d},{c},{max_range}" for d, c in enumerate(counters)]
+        dt = 0.1 + rng.uniform(-0.02, 0.02)
+        t += dt
+        counters = [(c + int(w * dt * 1_000_000)) % max_range
+                    for c, w in zip(counters, (12.0, 3.0))]
+    return "\n".join(rows) + "\n"
 
 
 def latin1_data_file(tmp_path, name):
@@ -256,6 +273,15 @@ class TestStdioTransparency:
         assert f"the directory of file {str(out)!r} does not exist" in proc.stderr
         assert not marker.exists()
 
+    def test_empty_out_exits_2_before_child(self, trace_file, tmp_path):
+        marker = tmp_path / "child-ran"
+        proc = run_cli("run", "--trace", trace_file, "--offline", "--out", "",
+                       "--", "touch", str(marker))
+        assert proc.returncode == 2
+        assert "argument --out: the report file name is empty" in proc.stderr
+        assert "Energy Usage Report" not in proc.stderr
+        assert not marker.exists()
+
     def test_unwritable_report_keeps_the_child_exit_code(self, trace_file, tmp_path):
         folder = tmp_path / "gone"
         folder.mkdir()
@@ -286,6 +312,24 @@ class TestMeasurement:
         proc = measured_run(str(trace), "--efficiency", "1.0")
         doc = json.loads(proc.stdout)
         assert doc["readings"]["measured_kwh"] == pytest.approx(100 / 3.6e6, rel=1e-9)
+
+    def test_replayed_readings_are_pinned(self, tmp_path):
+        # 198 kept pairs and one dropped for the wrap; every field exactly as
+        # a replay of this trace has always reported it
+        trace = tmp_path / "jittered.csv"
+        trace.write_text(jittered_wrap_trace())
+        proc = measured_run(str(trace), "--efficiency", "0.8")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["readings"] == {
+            "adjusted_kwh": 0.00010434253752251895,
+            "baseline_watts": 0.0,
+            "duration_s": 20.033780938016196,
+            "measured_kwh": 8.347403001801517e-05,
+            "negative_clamped": False,
+            "process_watts": 14.999989717098886,
+            "psu_efficiency": 0.8,
+            "total_watts": 14.999989717098886,
+        }
 
     def test_env_var_region(self, trace_file):
         proc = run_cli(

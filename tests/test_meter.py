@@ -11,10 +11,10 @@ from hypothesis import given, strategies as st
 from carbonrun import cli, meter
 from carbonrun.meter import (
     EmptyProcessSamples,
+    Energy,
     EnergyIntegral,
     MeterConfig,
     NoPowercapInterface,
-    PowerSample,
     ReadFailure,
     enumerate_package_domains,
     fold_columns,
@@ -42,17 +42,18 @@ def integrate(*instants):
 
 class TestPowerFromReadings:
     def test_delta_over_time(self):
-        [sample] = integrate((0.0, [1_000_000]), (1.0, [3_000_000])).samples()
-        assert sample.watts == 2.0
-        assert sample.interval_s == 1.0
+        energy = integrate((0.0, [1_000_000]), (1.0, [3_000_000])).energy()
+        assert energy == Energy(joules=2.0, seconds=1.0, pairs=1, dropped=0)
+        assert energy.watts == 2.0
 
     def test_zero_delta_is_valid_idle(self):
-        [sample] = integrate((0.0, [5_000_000]), (0.1, [5_000_000])).samples()
-        assert sample.watts == 0.0
+        energy = integrate((0.0, [5_000_000]), (0.1, [5_000_000])).energy()
+        assert (energy.pairs, energy.watts) == (1, 0.0)
 
     def test_wrap_is_discarded(self):
-        integral = integrate((0.0, [900]), (1.0, [100]))
-        assert (integral.pairs, integral.dropped, integral.samples()) == (0, 1, [])
+        energy = integrate((0.0, [900]), (1.0, [100])).energy()
+        assert energy == Energy(dropped=1)
+        assert energy.watts == 0.0
 
     def test_time_must_increase(self):
         with pytest.raises(ValueError):
@@ -71,8 +72,11 @@ class TestPowerFromReadings:
         assert (integral.joules, integral.seconds) == (62.0, 2.0)
 
     def test_negative_watts_impossible_by_construction(self):
-        with pytest.raises(ValueError):
-            PowerSample(watts=-1.0, interval_s=0.1)
+        # pkg-1 falls by more than pkg-0 rises: the pair's sum would be
+        # negative, but the pair is dropped, not added
+        energy = integrate((0.0, [0, 9_000_000]), (1.0, [1_000_000, 0]),
+                           (2.0, [2_000_000, 1_000_000])).energy()
+        assert energy == Energy(joules=2.0, seconds=1.0, pairs=1, dropped=1)
 
 
 class TestMeterConfig:
@@ -266,12 +270,12 @@ class TestGpu:
 
 class TestCombine:
     def test_multi_domain_additivity(self):
-        samples = combine_instants(parse_trace(
+        energy = combine_instants(parse_trace(
             constant_trace(7.0, 10, domains=("pkg-0", "pkg-1"))
         ))
-        assert len(samples) == 10
-        for s in samples:
-            assert s.watts == pytest.approx(14.0)
+        assert (energy.pairs, energy.dropped) == (10, 0)
+        assert energy.joules == pytest.approx(140.0)
+        assert energy.seconds == pytest.approx(10.0)
 
     def test_partial_wrap_drops_whole_instant(self):
         # pkg-1 wraps between t=1 and t=2; pkg-0 keeps counting. The summed
@@ -286,20 +290,22 @@ class TestCombine:
             "3,pkg-0,15000000,1000000000",
             "3,pkg-1,5005000,1000000000",
         ]
-        samples = combine_instants(parse_trace("\n".join(rows)))
-        assert len(samples) == 2
-        for s in samples:
-            assert s.watts == pytest.approx(10.0)
+        energy = combine_instants(parse_trace("\n".join(rows)))
+        assert (energy.pairs, energy.dropped) == (2, 1)
+        assert energy.joules == pytest.approx(20.0)
+        assert energy.seconds == pytest.approx(2.0)
+
+
+def steady(watts, seconds=1.0, pairs=10):
+    """The `Energy` of `pairs` kept pairs at a constant `watts`."""
+    return Energy(joules=watts * seconds, seconds=seconds, pairs=pairs)
 
 
 class TestSummarize:
-    def make_samples(self, watts, count=10, interval=0.1):
-        return [PowerSample(watts=watts, interval_s=interval) for _ in range(count)]
-
     def test_reference_readings(self):
         summary = summarize(
-            self.make_samples(2.35),
-            self.make_samples(15.53),
+            steady(2.35),
+            steady(15.53),
             duration_s=1000.0,
             config=MeterConfig(),
         )
@@ -308,8 +314,8 @@ class TestSummarize:
 
     def test_clamps_negative_process_power(self):
         summary = summarize(
-            self.make_samples(5.0),
-            self.make_samples(4.0),
+            steady(5.0),
+            steady(4.0),
             duration_s=10.0,
             config=MeterConfig(),
         )
@@ -318,28 +324,38 @@ class TestSummarize:
         assert summary.negative_clamped
 
     def test_empty_baseline_means_zero(self):
-        summary = summarize([], self.make_samples(3.0), 10.0, MeterConfig())
+        summary = summarize(Energy(), steady(3.0), 10.0, MeterConfig())
         assert summary.baseline_watts == 0.0
         assert summary.process_watts == pytest.approx(3.0)
         assert not summary.negative_clamped
 
     def test_empty_process_is_an_error(self):
-        with pytest.raises(EmptyProcessSamples, match="--sample-interval"):
-            summarize([], [], 10.0, MeterConfig())
+        with pytest.raises(EmptyProcessSamples) as err:
+            summarize(Energy(), Energy(), 10.0, MeterConfig())
+        assert str(err.value) == (
+            "process exited before one full sampling interval; "
+            "nothing to report (try a smaller --sample-interval)")
+
+    def test_every_pair_dropped_is_an_error_that_names_the_fall(self):
+        with pytest.raises(EmptyProcessSamples) as err:
+            summarize(steady(5.0), Energy(dropped=3), 10.0, MeterConfig())
+        assert str(err.value) == (
+            "every counter pair (3) was dropped: a counter fell between reads "
+            "(wrap or reset); nothing to report")
 
     def test_non_positive_duration(self):
         with pytest.raises(ValueError):
-            summarize([], self.make_samples(1.0), 0.0, MeterConfig())
+            summarize(Energy(), steady(1.0), 0.0, MeterConfig())
 
     def test_psu_identity_at_full_efficiency(self):
         summary = summarize(
-            [], self.make_samples(8.0), 100.0, MeterConfig(psu_efficiency=1.0)
+            Energy(), steady(8.0), 100.0, MeterConfig(psu_efficiency=1.0)
         )
         assert summary.adjusted_kwh == summary.measured_kwh
 
     def test_psu_simple_division(self):
         summary = summarize(
-            [], self.make_samples(8.0), 360.0, MeterConfig(psu_efficiency=0.8)
+            Energy(), steady(8.0), 360.0, MeterConfig(psu_efficiency=0.8)
         )
         assert summary.measured_kwh == pytest.approx(0.0008)
         assert summary.adjusted_kwh == pytest.approx(0.001)
@@ -351,18 +367,18 @@ class TestSummarize:
     def test_adjusted_monotone_in_efficiency(self, eff_low, eff_high):
         if eff_low > eff_high:
             eff_low, eff_high = eff_high, eff_low
-        samples = [PowerSample(watts=12.0, interval_s=0.1)] * 5
-        at_low = summarize([], samples, 60.0, MeterConfig(psu_efficiency=eff_low))
-        at_high = summarize([], samples, 60.0, MeterConfig(psu_efficiency=eff_high))
+        energy = steady(12.0, seconds=0.5, pairs=5)
+        at_low = summarize(Energy(), energy, 60.0, MeterConfig(psu_efficiency=eff_low))
+        at_high = summarize(Energy(), energy, 60.0, MeterConfig(psu_efficiency=eff_high))
         assert at_low.adjusted_kwh >= at_high.adjusted_kwh >= at_high.measured_kwh
 
     def test_piecewise_trace_matches_integral(self):
         # 5 W for 10 s + 20 W for 10 s + 1 W for 10 s = 260 J
         text = piecewise_trace([(5.0, 10), (20.0, 10), (1.0, 10)], interval_s=1.0)
         source = TraceSource.from_csv(text)
-        samples = combine_instants(parse_trace(text))
+        energy = combine_instants(parse_trace(text))
         summary = summarize(
-            [], samples, source.span_s, MeterConfig(psu_efficiency=1.0)
+            Energy(), energy, source.span_s, MeterConfig(psu_efficiency=1.0)
         )
         expected = 260.0 / 3.6e6
         assert math.isclose(summary.measured_kwh, expected, rel_tol=1e-6)
@@ -373,19 +389,17 @@ class TestSamplingSession:
         source = TraceSource.from_csv(constant_trace(10.0, 30))
         session = meter.SamplingSession(source, MeterConfig())
         session.start()
-        samples = session.stop()
-        assert (session.pairs, session.dropped) == (30, 0)
-        assert [(s.watts, s.interval_s) for s in samples] == [
-            (pytest.approx(10.0), pytest.approx(30.0))
-        ]
+        energy = session.stop()
+        assert (energy.pairs, energy.dropped) == (30, 0)
+        assert energy.watts == pytest.approx(10.0)
+        assert energy.seconds == pytest.approx(30.0)
 
     def test_short_trailing_interval_is_time_weighted(self):
         source = TraceSource.from_csv(short_tail_trace())
         session = meter.SamplingSession(source, MeterConfig())
         session.start()
-        samples = session.stop()
         summary = summarize(
-            [], samples, source.span_s, MeterConfig(psu_efficiency=1.0)
+            Energy(), session.stop(), source.span_s, MeterConfig(psu_efficiency=1.0)
         )
         assert summary.measured_kwh * 3.6e6 == pytest.approx(100.0, rel=1e-9)
 
@@ -395,10 +409,10 @@ class TestSamplingSession:
         source = TraceSource.from_csv("\n".join(rows))
         session = meter.SamplingSession(source, MeterConfig())
         session.start()
-        samples = session.stop()
-        assert (session.pairs, session.dropped) == (2, 1)
+        energy = session.stop()
+        assert (energy.pairs, energy.dropped) == (2, 1)
         summary = summarize(
-            [], samples, source.span_s, MeterConfig(psu_efficiency=1.0)
+            Energy(), energy, source.span_s, MeterConfig(psu_efficiency=1.0)
         )
         assert summary.measured_kwh * 3.6e6 == pytest.approx(15.0)
 
@@ -412,10 +426,10 @@ class TestSamplingSession:
         source = TraceSource.from_csv("\n".join(rows))
         session = meter.SamplingSession(source, MeterConfig())
         session.start()
-        [sample] = session.stop()
-        assert (session.pairs, session.dropped) == (2, 1)
-        assert sample.interval_s == 2.0
-        assert sample.watts == 5.0  # (4 + 1) J per second over 2 s
+        energy = session.stop()
+        assert (energy.pairs, energy.dropped) == (2, 1)
+        assert energy.seconds == 2.0
+        assert energy.watts == 5.0  # (4 + 1) J per second over 2 s
 
     def test_fold_rejects_time_that_does_not_increase(self):
         with pytest.raises(ValueError, match="increasing time order"):
@@ -454,7 +468,7 @@ class TestSamplingSession:
 
         folded, looped = EnergyIntegral(), EnergyIntegral()
         kept_uj, kept, dropped, seconds = fold_columns(timestamps, energies)
-        folded.add_totals(kept_uj / meter.UJ_PER_J, math.fsum(seconds), kept, dropped)
+        folded.add_totals(Energy(kept_uj / meter.UJ_PER_J, math.fsum(seconds), kept, dropped))
         for instant in zip(timestamps, map(list, zip(*energies))):
             looped.add(instant)
 
@@ -509,12 +523,12 @@ class TestSamplingSession:
         feeder.start()
         session.start()
         time.sleep(0.3)
-        samples = session.stop()
+        energy = session.stop()
         stop_feeding.set()
         feeder.join()
 
-        assert session.pairs >= 5
-        assert 0.5 < samples[0].watts < 4.0
+        assert energy.pairs >= 5
+        assert 0.5 < energy.watts < 4.0
 
     def test_live_session_sums_package_and_dram(self, tmp_path):
         # 1 W package, 10 W DRAM beside it, and a 100 W core counter inside
@@ -548,13 +562,13 @@ class TestSamplingSession:
         try:
             session.start()
             time.sleep(0.4)
-            [sample] = session.stop()
+            energy = session.stop()
         finally:
             stop_feeding.set()
             feeder.join(timeout=5)
         assert not feeder.is_alive()
-        assert session.pairs >= 5
-        assert 8.0 < sample.watts < 14.0
+        assert energy.pairs >= 5
+        assert 8.0 < energy.watts < 14.0
 
 
 def make_package_tree(tmp_path, packages=1):
@@ -579,10 +593,10 @@ class TestSessionStop:
         session.start()
         time.sleep(0.05)
         started = time.monotonic()
-        samples = session.stop()
+        energy = session.stop()
         assert time.monotonic() - started < 0.25
-        assert session.pairs == 1  # the first read and the trailing one
-        assert samples[0].watts == 0.0
+        assert energy.pairs == 1  # the first read and the trailing one
+        assert energy.watts == 0.0
 
     def test_stop_after_the_thread_exited_and_twice(self):
         source = TraceSource.from_csv(constant_trace(10.0, 5))
@@ -592,7 +606,7 @@ class TestSessionStop:
         assert not session._thread.is_alive()
         first = session.stop()
         assert session.stop() == first
-        assert first[0].watts == pytest.approx(10.0)
+        assert first.watts == pytest.approx(10.0)
 
     def test_counter_vanishing_mid_run_is_raised_by_stop(self, tmp_path, monkeypatch):
         root, domains = make_package_tree(tmp_path, packages=2)
@@ -629,17 +643,18 @@ class TestBaseline:
         root, _ = make_package_tree(tmp_path)
         monkeypatch.setattr(meter, "read_gpu_power", lambda: 30.0)
         config = MeterConfig(sample_interval_s=0.02, baseline_duration_s=0.2, gpu_enabled=True)
-        [sample] = meter.collect_baseline(meter.PowercapSource(str(root)), config)
-        assert sample.watts == pytest.approx(30.0)
+        baseline = meter.collect_baseline(meter.PowercapSource(str(root)), config)
+        assert baseline.watts == pytest.approx(30.0)
 
     def test_baseline_lasts_its_duration(self, tmp_path):
         root, _ = make_package_tree(tmp_path)
         config = MeterConfig(sample_interval_s=0.02, baseline_duration_s=0.2)
         started = time.monotonic()
-        [sample] = meter.collect_baseline(meter.PowercapSource(str(root)), config)
+        baseline = meter.collect_baseline(meter.PowercapSource(str(root)), config)
         assert 0.2 <= time.monotonic() - started < 0.4
-        assert sample.watts == 0.0
-        assert 0.2 <= sample.interval_s < 0.4
+        assert baseline.pairs >= 1
+        assert baseline.watts == 0.0
+        assert 0.2 <= baseline.seconds < 0.4
 
     def test_zero_duration_reads_nothing(self):
         class Unread:
@@ -648,4 +663,4 @@ class TestBaseline:
             def next_instant(self):
                 raise AssertionError("a zero-length baseline read a counter")
 
-        assert meter.collect_baseline(Unread(), MeterConfig(baseline_duration_s=0.0)) == []
+        assert meter.collect_baseline(Unread(), MeterConfig(baseline_duration_s=0.0)) == Energy()

@@ -7,7 +7,7 @@ import pytest
 from carbonrun.charts import bar_panel, pie_chart
 from carbonrun.emissions import load_equivalency_factors
 from carbonrun.locate import LocationResolution, ResolutionMethod
-from carbonrun.meter import MeasurementSummary, MeterConfig, PowerSample, summarize
+from carbonrun.meter import Energy, MeasurementSummary, MeterConfig, summarize
 from carbonrun.report import (
     build_report,
     format_duration,
@@ -24,8 +24,9 @@ FROZEN_TIME = "2016-07-01T00:00:00Z"
 
 
 def reference_summary():
-    baseline = [PowerSample(watts=2.35, interval_s=0.1)] * 10
-    process = [PowerSample(watts=15.53, interval_s=0.1)] * 10
+    # 10 pairs of 0.1 s each
+    baseline = Energy(joules=2.35, seconds=1.0, pairs=10)
+    process = Energy(joules=15.53, seconds=1.0, pairs=10)
     return summarize(baseline, process, 1000.0, MeterConfig(psu_efficiency=0.8))
 
 
@@ -82,8 +83,8 @@ class TestTextRendering:
 
     def test_clamp_note_visible(self, snapshot):
         summary = summarize(
-            [PowerSample(5.0, 0.1)] * 4,
-            [PowerSample(4.0, 0.1)] * 4,
+            Energy(joules=2.0, seconds=0.4, pairs=4),
+            Energy(joules=1.6, seconds=0.4, pairs=4),
             10.0,
             MeterConfig(),
         )

@@ -17,7 +17,7 @@ from array import array
 from itertools import chain, compress, count, groupby, islice
 from operator import ge, gt, sub
 
-from carbonrun.meter import UJ_PER_J, EnergyIntegral
+from carbonrun.meter import UJ_PER_J, Energy, EnergyIntegral
 from carbonrun.traces import EnergyCounterReading, TraceError
 
 
@@ -130,4 +130,4 @@ def fold_columns(integral, timestamps, energies, start=0):
         (timestamps[j] - timestamps[j + 1] for j in dropped),
     ))
     kept = last - start - len(dropped)
-    integral.add_totals(kept_uj / UJ_PER_J, seconds, kept, len(dropped))
+    integral.add_totals(Energy(kept_uj / UJ_PER_J, seconds, kept, len(dropped)))
