@@ -120,15 +120,12 @@ def run_measured(
     except ReadFailure as exc:
         return _fail(str(exc)), None
 
+    session = SamplingSession(source, config)
     try:
         child = subprocess.Popen(argv)
     except (OSError, ValueError) as exc:
         print(f"carbonrun: cannot run {argv[0]!r}: {exc}", file=sys.stderr)
         return EXIT_SPAWN, None
-
-    session = SamplingSession(source, config)
-    started = time.monotonic()
-    session.start()
 
     def forward(signum, frame):
         try:
@@ -136,12 +133,15 @@ def run_measured(
         except (ProcessLookupError, OSError):
             pass
 
+    # from here on the signals go to the child, also during the first read
     previous = {
         sig: signal.signal(sig, forward)
         for sig in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP, signal.SIGQUIT)
     }
+    started = time.monotonic()
     try:
-        returncode = child.wait()
+        session.start()
+        returncode = session.wait(child)
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
@@ -414,12 +414,12 @@ def main(args: list[str] | None = None, prog_name: str = "carbonrun") -> NoRetur
 def program() -> NoReturn:
     """The `carbonrun` program: `main`, then exit without tearing the heap down.
 
-    Once `main` is done the report file is closed and the sampler thread is
-    joined, so interpreter shutdown would only free objects the kernel frees
-    anyway, and it costs more than the report itself.  The exit code is the
-    one `sys.exit` would give; atexit handlers still run and stdout and stderr
-    are flushed, but finalizers of objects still alive do not run.  carbonrun
-    starts no non-daemon thread, which shutdown would wait for.
+    Once `main` is done the report file is closed and the child reaped, so
+    interpreter shutdown would only free objects the kernel frees anyway,
+    and it costs more than the report itself.  The exit code is the one
+    `sys.exit` would give; atexit handlers still run and stdout and stderr
+    are flushed, but finalizers of objects still alive do not run.
+    carbonrun starts no thread, which shutdown would wait for.
     """
     try:
         main()

@@ -8,12 +8,13 @@ covers to a running total, and power is joules over seconds.  Counters
 wrap; a pair in which one fell is dropped rather than reconstructed, because
 it may have wrapped more than once between reads, and `summarize` bridges
 its time at the integrated mean power.  The idle baseline and the child's
-run are sampled by one loop (`SamplingSession`), which keeps only the
-previous instant, so memory stays constant however long the run, and each
-ends as one `Energy`: joules, seconds, kept pairs and dropped pairs.  A
-replayed trace runs in virtual time and is integrated while it is read:
-`fold_columns` folds each chunk of its instants with the same pair rule, so
-a replay, too, keeps only the instant that joins one chunk to the next.
+run are sampled by one loop on the main thread (`SamplingSession`), which
+keeps only the previous instant, so memory stays constant however long the
+run, and each ends as one `Energy`: joules, seconds, kept pairs and dropped
+pairs.  A replayed trace runs in virtual time and is integrated while it is
+read, with no loop: `fold_columns` folds each chunk of its instants with
+the same pair rule, so a replay, too, keeps only the instant that joins one
+chunk to the next.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import heapq
 import math
 import os
 import re
+import select
 import shutil
 import subprocess
-import threading
 import time
 from collections.abc import Iterator, Sequence
 from itertools import chain, compress, count, groupby, islice
@@ -46,6 +47,11 @@ GPU_QUERY = [
 # Counter files update on a millisecond-ish cadence; sampling much faster
 # than this just reads the same value twice and produces zero/noise deltas.
 MIN_SAMPLE_INTERVAL_S = 0.01
+
+# The longest timeout `select.poll` accepts, in ms (a C int; ~24.8 days):
+# longer ones raise OverflowError.
+_POLL_MAX_MS = 2**31 - 1
+MAX_WAIT_S = _POLL_MAX_MS / 1000
 
 _DOMAIN_DIR = re.compile(r"intel-rapl:\d+$")
 _SUBDOMAIN_DIR = re.compile(r"intel-rapl:\d+:\d+$")
@@ -97,15 +103,14 @@ class MeterConfig(Checked, _Config):
             raise ValueError(
                 f"psu_efficiency must be in (0, 1], got {self.psu_efficiency}"
             )
-        # the ceiling is the longest timeout a lock wait or a thread join
-        # accepts; NaN fails both comparisons
+        # the sampling loop waits in `select.poll`; NaN fails both comparisons
         for name, value, least in (
             ("sample interval", self.sample_interval_s, MIN_SAMPLE_INTERVAL_S),
             ("baseline duration", self.baseline_duration_s, 0.0),
         ):
-            if not least <= value <= threading.TIMEOUT_MAX:
+            if not least <= value <= MAX_WAIT_S:
                 raise ValueError(f"{name} must be between {least}s and "
-                                 f"{threading.TIMEOUT_MAX:g}s, got {value}")
+                                 f"{MAX_WAIT_S:g}s, got {value}")
 
 
 class MeasurementSummary(NamedTuple):
@@ -236,28 +241,14 @@ def read_gpu_power(command: list[str] | None = None) -> float | None:
     if shutil.which(cmd[0]) is None:
         return None
     try:
-        proc = subprocess.run(
-            cmd, capture_output=True, text=True, timeout=2.0, check=False
-        )
-    except (OSError, subprocess.TimeoutExpired):
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=2.0, check=False)
+        watts = [float(line) for line in proc.stdout.splitlines() if line.strip()]
+    except (OSError, subprocess.TimeoutExpired, ValueError):
         return None
-    if proc.returncode != 0:
+    # NaN fails both comparisons
+    if proc.returncode != 0 or not watts or not all(0 <= w < math.inf for w in watts):
         return None
-    total = 0.0
-    seen = False
-    for line in proc.stdout.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            watts = float(line)
-        except ValueError:
-            return None
-        if not math.isfinite(watts) or watts < 0:
-            return None
-        total += watts
-        seen = True
-    return total if seen else None
+    return sum(watts)
 
 
 class PowercapSource:
@@ -311,38 +302,27 @@ class EnergyIntegral:
         self.seconds += seconds
         self.pairs += 1
 
-    def add_totals(self, energy: Energy) -> None:
-        """Add pairs already integrated elsewhere (see `TraceSource`)."""
-        self.joules += energy.joules
-        self.seconds += energy.seconds
-        self.pairs += energy.pairs
-        self.dropped += energy.dropped
-
     def energy(self) -> Energy:
         return Energy(self.joules, self.seconds, self.pairs, self.dropped)
 
 
 class SamplingSession:
-    """Background sampler that polls a counter source until stopped: the
-    one loop that samples both the idle baseline (`collect_baseline`) and
-    the child's run.
+    """The one loop that samples both the idle baseline (`collect_baseline`)
+    and the child's run.  It runs on the calling thread, with no thread or
+    lock beside it: the sampler's CPU lands in the counters it reads.
 
-    For a live source the loop waits `sample_interval_s` between instants
-    and takes one final instant when stopped, so short-lived processes still
-    get a trailing partial sample; instants, and with `gpu_enabled` the GPU
-    power polled beside each, are folded into an `EnergyIntegral` as they
-    arrive.  A trace source runs in virtual time and was integrated while
-    it was read, before the child started: the thread only adds its totals
-    to the integral (`TraceSource.fold_into`).  `stop()` returns the
-    integral as an `Energy`.
-
-    The sampler's CPU lands in the counters it reads, so each tick is kept
-    cheap.  The stop gate is a plain lock the session holds until `stop()`
-    releases it: the loop's `acquire(timeout=interval)` is one C call per
-    tick, where `Event.wait` runs `Condition.wait` in Python and allocates
-    a waiter lock every time.  A counter that turns unreadable mid-run
-    (`ReadFailure`) stops the polling, and `stop()` raises it rather than
-    returning a partial integral.
+    For a live source `start()` takes the first instant and `wait(child)`
+    the rest: it sleeps in `select.poll` on a pidfd of the child until the
+    next deadline, `sample_interval_s` after the last one, or now if a read
+    ran past it, so reads never burst to catch up.  The wake that reports
+    the exit takes the trailing instant, which covers the last partial
+    interval, and the child is reaped at once; without a pidfd (Linux
+    before 5.3) each wake checks `child.poll()`.  Instants, with the GPU
+    power polled beside each under `gpu_enabled`, are folded into an
+    `EnergyIntegral` as they arrive.  A trace was integrated while it was
+    read: a replay samples nothing, and `stop()` returns its `Energy`.  A
+    counter that turns unreadable mid-run (`ReadFailure`) ends the loop,
+    and `stop()` raises it rather than returning a partial integral.
 
     GPU power is polled in wall-clock time, so it cannot price a replayed
     trace: a virtual-time source with `gpu_enabled` raises ValueError.
@@ -354,49 +334,73 @@ class SamplingSession:
                              "it cannot be added to a replayed trace")
         self._source = source
         self._config = config
-        self._gate = threading.Lock()
-        self._gate.acquire()
-        self._stopped = False
         self._failure: ReadFailure | None = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
         self._integral = EnergyIntegral()
+        self._started = 0.0
 
     def start(self) -> None:
-        self._thread.start()
+        """Take the first instant of a live source."""
+        if not self._source.virtual_time:
+            self._started = time.monotonic()
+            self._read()
+
+    def wait(self, child: subprocess.Popen) -> int:
+        """Sample until `child` exits, reap it and return its return code."""
+        self._sample(child=child)
+        return child.wait()
 
     def stop(self) -> Energy:
-        """Stop sampling; return what the counters recorded since `start()`.
-
-        Raises the `ReadFailure` that stopped the sampler early, if any.
-        """
-        if not self._stopped:
-            self._stopped = True
-            self._gate.release()
-        self._thread.join()
+        """What the counters recorded since `start()`, or the `ReadFailure`
+        that ended sampling early, raised."""
         if self._failure is not None:
             raise self._failure
+        if self._source.virtual_time:
+            return self._source.energy
         return self._integral.energy()
 
-    def _poll_once(self) -> None:
-        instant = self._source.next_instant()
-        gpu_watts = 0.0
-        if self._config.gpu_enabled:
-            gpu_watts = read_gpu_power() or 0.0
-        self._integral.add(instant, gpu_watts)
-
-    def _run(self) -> None:
-        if self._source.virtual_time:
-            self._source.fold_into(self._integral)
-            return
-        interval = self._config.sample_interval_s
-        stopped = self._gate.acquire
+    def _read(self) -> bool:
+        """Fold one instant into the integral; False once a counter failed."""
         try:
-            self._poll_once()
-            while not stopped(timeout=interval):
-                self._poll_once()
-            self._poll_once()  # trailing read covers the last partial interval
+            instant = self._source.next_instant()
         except ReadFailure as exc:
             self._failure = exc
+            return False
+        gpu_watts = (read_gpu_power() or 0.0) if self._config.gpu_enabled else 0.0
+        self._integral.add(instant, gpu_watts)
+        return True
+
+    def _sample(self, seconds: float = math.inf, child: subprocess.Popen | None = None) -> None:
+        """Read an instant at each deadline until `seconds` after `start()`,
+        or until `child` exits; the wake that reaches the end takes the
+        last read.  A replay reads nothing."""
+        if self._source.virtual_time:
+            return
+        poller = select.poll()
+        pidfd = None
+        if child is not None:
+            try:
+                pidfd = os.pidfd_open(child.pid)
+            except (AttributeError, OSError):
+                pass  # no pidfd: each wake polls the child instead
+            else:
+                poller.register(pidfd, select.POLLIN)
+        until = self._started + seconds
+        interval = self._config.sample_interval_s
+        deadline = self._started
+        sampling = self._failure is None
+        try:
+            while sampling:
+                now = time.monotonic()
+                deadline = max(deadline + interval, now)
+                wake = min(deadline, until)
+                # a negative timeout waits forever; rounding may push one past the ceiling
+                ended = poller.poll(min(max(wake - now, 0.0) * 1000, _POLL_MAX_MS))
+                if child is not None and pidfd is None:
+                    ended = child.poll() is not None
+                sampling = self._read() and not ended and wake < until
+        finally:
+            if pidfd is not None:
+                os.close(pidfd)
 
 
 def collect_baseline(source, config: MeterConfig) -> Energy:
@@ -411,7 +415,7 @@ def collect_baseline(source, config: MeterConfig) -> Energy:
         return Energy()
     session = SamplingSession(source, config)
     session.start()
-    session._thread.join(config.baseline_duration_s)
+    session._sample(config.baseline_duration_s)
     return session.stop()
 
 

@@ -42,7 +42,7 @@ from itertools import chain, compress, count, islice, repeat
 from operator import add, lt, mod, ne, sub
 from typing import NamedTuple, TextIO
 
-from .meter import UJ_PER_J, Energy, EnergyIntegral, fold_columns
+from .meter import UJ_PER_J, Energy, fold_columns
 
 # Text parsed at a time.  Reading and folding a 100k-instant trace took about
 # as long at 16k to 64k characters, ~10 % longer at 8k and ~twice as long at
@@ -69,11 +69,9 @@ class TraceSource:
     for the pair rule): each chunk's instants are folded as soon as they are
     checked, and only the last one is kept, for the pair it forms with the
     next chunk's first.  The kept µJ stay one exact integer and every term
-    of the kept seconds goes to one `math.fsum`, so the totals, one
-    `Energy`, equal a fold of the whole trace at once.  `fold_into` adds
-    them to an integral.
-    `span_s` is the time covered by the recording and stands in for
-    wall-clock duration.
+    of the kept seconds goes to one `math.fsum`, so the totals, `energy`,
+    equal a fold of the whole trace at once.  `span_s` is the time covered
+    by the recording and stands in for wall-clock duration.
     """
 
     virtual_time = True
@@ -85,7 +83,7 @@ class TraceSource:
         self._first_ts = 0.0
         self._last: tuple[array, list[int]] | None = None
         seconds = math.fsum(chain.from_iterable(map(self._fold, _Loader().read(fh))))
-        self._energy = Energy(self._kept_uj / UJ_PER_J, seconds, self._pairs, self._dropped)
+        self.energy = Energy(self._kept_uj / UJ_PER_J, seconds, self._pairs, self._dropped)
         self.span_s = self._last[0][0] - self._first_ts
 
     @classmethod
@@ -116,10 +114,6 @@ class TraceSource:
         self._pairs += kept
         self._dropped += dropped
         return seconds
-
-    def fold_into(self, integral: EnergyIntegral) -> None:
-        """Add the trace's pairs to `integral`."""
-        integral.add_totals(self._energy)
 
 
 def _uncovered(index: int, domains: Iterable[str]) -> TraceError:

@@ -14,9 +14,10 @@ import time
 
 import pytest
 
-from carbonrun import cli, emissions, griddata, report, traces
+from carbonrun import cli, emissions, griddata, meter, report, traces
 
 from conftest import constant_trace, short_tail_trace
+from test_meter import make_package_tree
 from test_traces import MALFORMED_TRACES, NON_UTF8_TRACE
 
 CLI = [sys.executable, "-m", "carbonrun"]
@@ -395,6 +396,59 @@ class TestMeasurement:
         proc.send_signal(sig)
         stdout, stderr = proc.communicate(timeout=15)
         assert proc.returncode == 128 + sig
+        assert "Energy Usage Report" in stderr
+
+    def test_interrupt_during_the_first_read_goes_to_the_child(
+            self, tmp_path, monkeypatch, capsys):
+        root, _ = make_package_tree(tmp_path)
+
+        class InterruptedSource(meter.PowercapSource):
+            reads = 0
+
+            def next_instant(self):
+                self.reads += 1
+                if self.reads == 1:
+                    os.kill(os.getpid(), signal.SIGINT)
+                return super().next_instant()
+
+        def reached_the_wrapper(signum, frame):
+            raise AssertionError("SIGINT reached the wrapper, not the child")
+
+        monkeypatch.setattr(cli, "PowercapSource", lambda: InterruptedSource(str(root)))
+        previous = signal.signal(signal.SIGINT, reached_the_wrapper)
+        try:
+            options = cli._parser("carbonrun").parse_args(
+                ["run", "--offline", "--no-baseline", "--sample-interval", "0.05",
+                 "sleep", "5"])
+            started = time.monotonic()
+            code, _ = cli.run_measured(options.command, options)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert code == 128 + signal.SIGINT
+        assert time.monotonic() - started < 4.0
+
+    def test_terminate_forwarded_while_sampling_a_live_run(self, tmp_path):
+        root, _ = make_package_tree(tmp_path)
+        started = tmp_path / "child-started"
+        # `carbonrun.cli` bound to a synthetic powercap tree
+        wrapper = ("import sys; from carbonrun import cli, meter; "
+                   "cli.PowercapSource = lambda: meter.PowercapSource(sys.argv[1]); "
+                   "cli.main(sys.argv[2:])")
+        env = dict(os.environ)
+        env.pop("ENERGYUSAGE_REGION", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", wrapper, str(root), "run", "--offline", "--no-baseline",
+             "--sample-interval", "0.05", "--", "sh", "-c", 'touch "$0"; exec sleep 30',
+             str(started)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        deadline = time.monotonic() + 15
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        time.sleep(0.2)  # the wrapper waits in `poll` between reads
+        proc.send_signal(signal.SIGTERM)
+        stdout, stderr = proc.communicate(timeout=15)
+        assert proc.returncode == 128 + signal.SIGTERM
         assert "Energy Usage Report" in stderr
 
 

@@ -1,6 +1,9 @@
+import errno
 import math
 import os
+import select
 import stat
+import subprocess
 import threading
 import time
 import tracemalloc
@@ -30,6 +33,16 @@ from conftest import (
     piecewise_trace,
     short_tail_trace,
 )
+
+
+def sample_child(source, config, argv=("sleep", "0.3")):
+    """Sample `source` while a child runs `argv`, the way `cli.run_measured`
+    does; returns the session and the child's return code."""
+    session = meter.SamplingSession(source, config)
+    with subprocess.Popen(argv) as child:
+        session.start()
+        returncode = session.wait(child)
+    return session, returncode
 
 
 def integrate(*instants):
@@ -100,15 +113,33 @@ class TestMeterConfig:
 
     @pytest.mark.parametrize("field", ["sample_interval_s", "baseline_duration_s"])
     @pytest.mark.parametrize("value", [
-        math.nan, math.inf, -math.inf, threading.TIMEOUT_MAX * 2])
+        math.nan, math.inf, -math.inf, meter.MAX_WAIT_S * 2])
     def test_non_finite_or_oversized_wait(self, field, value):
         with pytest.raises(ValueError, match="must be between"):
             MeterConfig(**{field: value})
 
-    def test_longest_wait_allowed(self):
-        config = MeterConfig(sample_interval_s=threading.TIMEOUT_MAX,
-                             baseline_duration_s=threading.TIMEOUT_MAX)
-        assert config.baseline_duration_s == threading.TIMEOUT_MAX
+    def test_longest_wait_allowed(self, tmp_path):
+        # the ceiling is the longest timeout `select.poll` takes: a pipe's
+        # write end is ready at once, so neither call blocks
+        read_end, write_end = os.pipe()
+        try:
+            poller = select.poll()
+            poller.register(write_end, select.POLLOUT)
+            assert poller.poll(meter.MAX_WAIT_S * 1000 - 1)
+            with pytest.raises(OverflowError):
+                poller.poll(meter.MAX_WAIT_S * 1000 + 1)
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        config = MeterConfig(sample_interval_s=meter.MAX_WAIT_S,
+                             baseline_duration_s=meter.MAX_WAIT_S)
+        assert config.baseline_duration_s == meter.MAX_WAIT_S
+        # a whole interval's wait ends when the child does
+        root, _ = make_package_tree(tmp_path)
+        started = time.monotonic()
+        session, code = sample_child(meter.PowercapSource(str(root)), config)
+        assert time.monotonic() - started < 5.0
+        assert (code, session.stop().pairs) == (0, 1)
 
 
 class TestSysfsReads:
@@ -227,8 +258,6 @@ class TestSysfsReads:
         self.make_domain(root, "intel-rapl:0", "package-0")
         domain = self.make_domain(root, "intel-rapl:1", "package-1")
         counter = domain / "energy_uj"
-        thread_errors = []
-        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
         monkeypatch.setattr(cli, "PowercapSource", lambda: meter.PowercapSource(str(root)))
         child = ["sh", "-c", f"sleep 0.15; rm '{counter}'; sleep 0.15; exit 3"]
         options = cli._parser("carbonrun").parse_args(
@@ -237,7 +266,6 @@ class TestSysfsReads:
         assert (code, doc) == (3, None)
         err = capsys.readouterr().err
         assert f"carbonrun: error: sampling stopped: cannot read {counter}" in err
-        assert thread_errors == []
 
 
 class TestGpu:
@@ -466,11 +494,9 @@ class TestSamplingSession:
         energies = [[instant[f"pkg-{d}"].energy_uj for instant in instants]
                     for d in range(domains)]
 
-        folded, looped = EnergyIntegral(), EnergyIntegral()
         kept_uj, kept, dropped, seconds = fold_columns(timestamps, energies)
-        folded.add_totals(Energy(kept_uj / meter.UJ_PER_J, math.fsum(seconds), kept, dropped))
-        for instant in zip(timestamps, map(list, zip(*energies))):
-            looped.add(instant)
+        folded = Energy(kept_uj / meter.UJ_PER_J, math.fsum(seconds), kept, dropped)
+        looped = integrate(*zip(timestamps, map(list, zip(*energies)))).energy()
 
         assert (folded.pairs, folded.dropped) == (looped.pairs, looped.dropped)
         assert math.isclose(folded.joules, looped.joules, rel_tol=1e-12)
@@ -501,11 +527,6 @@ class TestSamplingSession:
 
         source = meter.PowercapSource(str(root))
         config = MeterConfig(sample_interval_s=0.02)
-        session = meter.SamplingSession(source, config)
-
-        import threading
-        import time
-
         stop_feeding = threading.Event()
 
         def feed():
@@ -521,11 +542,12 @@ class TestSamplingSession:
 
         feeder = threading.Thread(target=feed)
         feeder.start()
-        session.start()
-        time.sleep(0.3)
+        try:
+            session, _ = sample_child(source, config)
+        finally:
+            stop_feeding.set()
+            feeder.join()
         energy = session.stop()
-        stop_feeding.set()
-        feeder.join()
 
         assert energy.pairs >= 5
         assert 0.5 < energy.watts < 4.0
@@ -544,7 +566,6 @@ class TestSamplingSession:
             (domain / "max_energy_range_uj").write_text("1000000000000\n")
             (domain / "energy_uj").write_text("0\n")
         source = meter.PowercapSource(str(root))
-        session = meter.SamplingSession(source, MeterConfig(sample_interval_s=0.02))
         stop_feeding = threading.Event()
 
         def feed():
@@ -560,13 +581,12 @@ class TestSamplingSession:
         feeder = threading.Thread(target=feed)
         feeder.start()
         try:
-            session.start()
-            time.sleep(0.4)
-            energy = session.stop()
+            session, _ = sample_child(source, MeterConfig(sample_interval_s=0.02))
         finally:
             stop_feeding.set()
             feeder.join(timeout=5)
         assert not feeder.is_alive()
+        energy = session.stop()
         assert energy.pairs >= 5
         assert 8.0 < energy.watts < 14.0
 
@@ -585,45 +605,117 @@ def make_package_tree(tmp_path, packages=1):
     return root, domains
 
 
+class ReadTimes(meter.PowercapSource):
+    """A live source that records when each of its reads starts, and
+    sleeps `slow_s` in the read numbered `slow_read`."""
+
+    def __init__(self, root, slow_read=None, slow_s=0.0):
+        super().__init__(str(root))
+        self.read_at = []
+        self.threads = []
+        self._slow = slow_read, slow_s
+
+    def next_instant(self):
+        self.read_at.append(time.monotonic())
+        self.threads.append(threading.active_count())
+        if len(self.read_at) == self._slow[0]:
+            time.sleep(self._slow[1])
+        return super().next_instant()
+
+
 class TestSessionStop:
     def test_stop_does_not_wait_out_a_long_interval(self, tmp_path):
         root, _ = make_package_tree(tmp_path)
-        session = meter.SamplingSession(
-            meter.PowercapSource(str(root)), MeterConfig(sample_interval_s=0.5))
-        session.start()
-        time.sleep(0.05)
         started = time.monotonic()
-        energy = session.stop()
+        session, _ = sample_child(meter.PowercapSource(str(root)),
+                                  MeterConfig(sample_interval_s=0.5), ("sleep", "0.05"))
         assert time.monotonic() - started < 0.25
+        energy = session.stop()
         assert energy.pairs == 1  # the first read and the trailing one
         assert energy.watts == 0.0
 
-    def test_stop_after_the_thread_exited_and_twice(self):
+    def test_stop_is_idempotent(self, tmp_path):
         source = TraceSource.from_csv(constant_trace(10.0, 5))
         session = meter.SamplingSession(source, MeterConfig(baseline_duration_s=0.0))
         session.start()
-        session._thread.join(timeout=5)
-        assert not session._thread.is_alive()
         first = session.stop()
         assert session.stop() == first
         assert first.watts == pytest.approx(10.0)
+        root, _ = make_package_tree(tmp_path)
+        session, _ = sample_child(meter.PowercapSource(str(root)), MeterConfig())
+        first = session.stop()
+        assert first.pairs >= 1
+        assert session.stop() == first
 
-    def test_counter_vanishing_mid_run_is_raised_by_stop(self, tmp_path, monkeypatch):
+    def test_counter_vanishing_mid_run_is_raised_by_stop(self, tmp_path):
         root, domains = make_package_tree(tmp_path, packages=2)
         counter = domains[1] / "energy_uj"
-        thread_errors = []
-        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
-        session = meter.SamplingSession(
-            meter.PowercapSource(str(root)), MeterConfig(sample_interval_s=0.01))
-        session.start()
-        time.sleep(0.05)
-        counter.unlink()
-        time.sleep(0.05)
+        session, code = sample_child(
+            meter.PowercapSource(str(root)), MeterConfig(sample_interval_s=0.01),
+            ("sh", "-c", 'sleep 0.1; rm "$0"; sleep 0.2; exit 3', str(counter)))
+        assert code == 3  # the child is still waited for
         for _ in range(2):
             with pytest.raises(ReadFailure) as err:
                 session.stop()
             assert err.value.path == str(counter)
-        assert thread_errors == []
+
+
+class TestMainThreadLoop:
+    def test_pairs_match_the_wall_time_over_the_interval(self, tmp_path):
+        root, _ = make_package_tree(tmp_path)
+        interval = 0.02
+        started = time.monotonic()
+        session, _ = sample_child(meter.PowercapSource(str(root)),
+                                  MeterConfig(sample_interval_s=interval), ("sleep", "0.5"))
+        wall = time.monotonic() - started
+        assert abs(session.stop().pairs - wall / interval) <= 2
+
+    def test_a_slow_read_is_not_followed_by_a_burst(self, tmp_path):
+        root, _ = make_package_tree(tmp_path)
+        interval = 0.02
+        source = ReadTimes(root, slow_read=3, slow_s=3.5 * interval)
+        sample_child(source, MeterConfig(sample_interval_s=interval))
+        # the trailing read, on the child's exit, may follow its forerunner closely
+        scheduled = source.read_at[:-1]
+        gaps = [b - a for a, b in zip(scheduled, scheduled[1:])]
+        assert max(gaps) >= 3.5 * interval
+        assert min(gaps) > interval / 2
+
+    def test_without_a_pidfd_the_child_is_polled_each_tick(self, tmp_path, monkeypatch):
+        def no_pidfd(pid, flags=0):
+            raise OSError(errno.ENOSYS, os.strerror(errno.ENOSYS))
+
+        monkeypatch.setattr(os, "pidfd_open", no_pidfd)
+        root, _ = make_package_tree(tmp_path)
+        interval = 0.05
+        started = time.monotonic()
+        session, code = sample_child(meter.PowercapSource(str(root)),
+                                     MeterConfig(sample_interval_s=interval),
+                                     ("sh", "-c", "sleep 0.3; exit 4"))
+        # the exit is seen on a later tick, not at the end of some long wait
+        assert 0.3 <= time.monotonic() - started < 1.0
+        assert code == 4
+        assert session.stop().pairs >= 0.3 / interval
+
+    def test_sampling_starts_no_thread(self, tmp_path):
+        root, _ = make_package_tree(tmp_path)
+        source = ReadTimes(root)
+        meter.collect_baseline(source, MeterConfig(sample_interval_s=0.02,
+                                                   baseline_duration_s=0.1))
+        sample_child(source, MeterConfig(sample_interval_s=0.02))
+        assert len(source.threads) > 10
+        assert set(source.threads) == {1}
+
+    def test_a_live_run_leaves_no_descriptor_open(self, tmp_path, monkeypatch, capsys):
+        root, _ = make_package_tree(tmp_path)
+        monkeypatch.setattr(cli, "PowercapSource", lambda: meter.PowercapSource(str(root)))
+        options = cli._parser("carbonrun").parse_args(
+            ["run", "--offline", "--baseline-duration", "0.1", "--sample-interval", "0.02",
+             "sleep", "0.2"])
+        before = len(os.listdir("/proc/self/fd"))
+        code, doc = cli.run_measured(options.command, options)
+        assert (code, doc is not None) == (0, True)
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestBaseline:

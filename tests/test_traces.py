@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carbonrun import traces
-from carbonrun.meter import EnergyIntegral
 from carbonrun.traces import EnergyCounterReading, TraceError, TraceSource, parse_trace
 
 from conftest import MAX_RANGE_UJ, constant_trace
@@ -17,10 +16,7 @@ from trace_reference import reference_parse, reference_totals
 
 def totals(source):
     """Joules, seconds, kept pairs, dropped pairs and span of a replay."""
-    integral = EnergyIntegral()
-    source.fold_into(integral)
-    return (integral.joules, integral.seconds, integral.pairs, integral.dropped,
-            source.span_s)
+    return (*source.energy, source.span_s)
 
 
 def test_parse_groups_rows_into_instants():

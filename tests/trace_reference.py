@@ -17,7 +17,7 @@ from array import array
 from itertools import chain, compress, count, groupby, islice
 from operator import ge, gt, sub
 
-from carbonrun.meter import UJ_PER_J, Energy, EnergyIntegral
+from carbonrun.meter import UJ_PER_J, Energy
 from carbonrun.traces import EnergyCounterReading, TraceError
 
 
@@ -97,10 +97,7 @@ def reference_totals(text):
     instants = reference_parse(text)
     timestamps = [next(iter(instant.values())).timestamp for instant in instants]
     energies = [[instant[d].energy_uj for instant in instants] for d in instants[0]]
-    integral = EnergyIntegral()
-    fold_columns(integral, timestamps, energies)
-    return (integral.joules, integral.seconds, integral.pairs, integral.dropped,
-            timestamps[-1] - timestamps[0])
+    return (*fold_columns(timestamps, energies), timestamps[-1] - timestamps[0])
 
 
 def _pairs(column, start):
@@ -108,13 +105,13 @@ def _pairs(column, start):
     return islice(column, start, None), islice(column, start + 1, None)
 
 
-def fold_columns(integral, timestamps, energies, start=0):
-    """Fold every pair of consecutive instants from index `start` on into
-    `integral`, given the instants' timestamps and one counter column (µJ)
-    per domain, with the pair rule of `EnergyIntegral.add`, over whole columns."""
+def fold_columns(timestamps, energies, start=0):
+    """The `Energy` of every pair of consecutive instants from index `start`
+    on, given the instants' timestamps and one counter column (µJ) per
+    domain, with the pair rule of `EnergyIntegral.add`, over whole columns."""
     last = len(timestamps) - 1
     if last <= start:
-        return
+        return Energy()
     if any(map(ge, *_pairs(timestamps, start))):
         raise ValueError("readings must be in increasing time order")
     falls = heapq.merge(*(
@@ -130,4 +127,4 @@ def fold_columns(integral, timestamps, energies, start=0):
         (timestamps[j] - timestamps[j + 1] for j in dropped),
     ))
     kept = last - start - len(dropped)
-    integral.add_totals(Energy(kept_uj / UJ_PER_J, seconds, kept, len(dropped)))
+    return Energy(kept_uj / UJ_PER_J, seconds, kept, len(dropped))
