@@ -8,9 +8,16 @@ rely on.  No external assets: the SVG goes straight into the HTML.
 from __future__ import annotations
 
 import math
-from html import escape
 
 FONT = "font-family='Helvetica,Arial,sans-serif'"
+
+# what `html.escape` replaces, without loading `html` and its entity table
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "'": "&#x27;"})
+
+
+def escape(text: str) -> str:
+    """`text` made safe for HTML text and quoted attributes."""
+    return text.translate(_ESCAPES)
 
 
 def _n(value: float) -> str:

@@ -2,19 +2,16 @@
 
 The kernel exposes monotonically increasing energy counters (microjoules)
 under /sys/class/powercap/intel-rapl.  Energy is integrated from counter
-deltas: every pair of consecutive instants, each (timestamp, [counter of
-each domain]), adds the joules its counters advanced and the seconds it
-covers to a running total, and power is joules over seconds.  Counters
-wrap; a pair in which one fell is dropped rather than reconstructed, because
-it may have wrapped more than once between reads, and `summarize` bridges
-its time at the integrated mean power.  The idle baseline and the child's
-run are sampled by one loop on the main thread (`SamplingSession`), which
-keeps only the previous instant, so memory stays constant however long the
-run, and each ends as one `Energy`: joules, seconds, kept pairs and dropped
-pairs.  A replayed trace runs in virtual time and is integrated while it is
-read, with no loop: `fold_columns` folds each chunk of its instants with
-the same pair rule, so a replay, too, keeps only the instant that joins one
-chunk to the next.
+deltas over every pair of consecutive instants, each (timestamp, [counter
+of each domain]), and power is joules over seconds.  Counters wrap; a pair
+in which one fell is dropped rather than reconstructed, because it may have
+wrapped more than once between reads, and `summarize` bridges its time at
+the integrated mean power.  A live run and a replayed trace are folded by
+one `ColumnFold`, a batch of instants at a time, so a recorded run replays
+to the same `Energy`: joules, seconds, kept pairs and dropped pairs.  The
+idle baseline and the child's run are sampled by one loop on the main
+thread (`SamplingSession`), which holds at most one batch, so memory stays
+constant however long the run.  A replay is folded while it is read.
 """
 
 from __future__ import annotations
@@ -27,8 +24,8 @@ import select
 import shutil
 import subprocess
 import time
-from collections.abc import Iterator, Sequence
-from itertools import chain, compress, count, groupby, islice
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, compress, count, groupby, islice, starmap
 from operator import ge, gt, sub
 from typing import NamedTuple
 
@@ -47,6 +44,9 @@ GPU_QUERY = [
 # Counter files update on a millisecond-ish cadence; sampling much faster
 # than this just reads the same value twice and produces zero/noise deltas.
 MIN_SAMPLE_INTERVAL_S = 0.01
+
+# The most instants a live session holds before it folds them (256: ~50 µs)
+BATCH_INSTANTS = 256
 
 # The longest timeout `select.poll` accepts, in ms (a C int; ~24.8 days):
 # longer ones raise OverflowError.
@@ -200,8 +200,9 @@ def fold_columns(
     timestamps: Sequence[float], energies: Sequence[Sequence[int]]
 ) -> tuple[int, int, int, Iterator[float]]:
     """Integrate every pair of consecutive instants, given the instants'
-    timestamps and one counter column (µJ) per domain (at least one), with
-    the pair rule of `EnergyIntegral.add`.
+    timestamps, which must increase, and one counter column (µJ) per domain
+    (at least one).  The pair rule: a pair in which any counter fell (a wrap
+    or a reset) is dropped whole, in every column; equal counters are kept.
 
     Returns the kept µJ, the numbers of kept and dropped pairs, and the kept
     seconds as terms whose exact sum (`math.fsum`) they are: every pair's
@@ -211,7 +212,7 @@ def fold_columns(
     per column, nothing copied, memory O(domains).  Columns cut into pieces
     that overlap by one instant fold to the same totals when the pieces' µJ
     are added and all their terms go to one `fsum`, since `fsum` is exactly
-    rounded whatever the order.
+    rounded whatever the order.  The terms are lazy over the columns given.
     """
     if len(timestamps) < 2:
         return 0, 0, 0, iter(())
@@ -228,6 +229,38 @@ def fold_columns(
         (timestamps[j] - timestamps[j + 1] for j in dropped),
     )
     return kept_uj, len(timestamps) - 1 - len(dropped), len(dropped), seconds
+
+
+class ColumnFold:
+    """The `Energy` and span of instants that come in batches of columns
+    (timestamps, and one µJ column per domain; at least one instant each).
+    `fold_columns` folds each batch after the last instant of the one before
+    it, all that is kept of it.  The kept µJ add up as one integer and every
+    seconds term goes to one `math.fsum`, so the totals are those of one
+    fold of all the instants.  A batch may change once the next is asked for."""
+
+    def __init__(self, batches: Iterable[tuple[Sequence[float], Sequence[list[int]]]]):
+        self._kept_uj = self._pairs = self._dropped = 0
+        self._first = self.span_s = 0.0  # from the first instant to the last
+        self._last: tuple[Sequence[float], list[int]] | None = None
+        seconds = math.fsum(chain.from_iterable(starmap(self._add, batches)))
+        self.energy = Energy(self._kept_uj / UJ_PER_J, seconds, self._pairs, self._dropped)
+
+    def _add(self, stamps: Sequence[float], energies: Sequence[list[int]]) -> Iterator[float]:
+        """Fold one batch; return the terms of its kept seconds."""
+        if self._last is None:
+            self._first = stamps[0]
+        else:
+            last_stamp, last_energies = self._last
+            stamps = last_stamp + stamps
+            energies = [[e] + column for e, column in zip(last_energies, energies)]
+        self._last = stamps[-1:], [column[-1] for column in energies]
+        self.span_s = stamps[-1] - self._first
+        kept_uj, kept, dropped, seconds = fold_columns(stamps, energies)
+        self._kept_uj += kept_uj
+        self._pairs += kept
+        self._dropped += dropped
+        return seconds
 
 
 def read_gpu_power(command: list[str] | None = None) -> float | None:
@@ -268,44 +301,6 @@ class PowercapSource:
         return time.monotonic(), list(map(_read_int, self._paths))
 
 
-class EnergyIntegral:
-    """Running joules and seconds over a stream of whole-machine instants.
-
-    Only the previous instant is kept: each new one closes a pair that is
-    either added to the totals or, when a counter fell (a wrap or a reset),
-    counted as dropped.  A pair's seconds are its instants' time difference.
-    GPU watts polled after instant i price pair (i, i+1) over its seconds.
-    """
-
-    def __init__(self):
-        self.joules = 0.0
-        self.seconds = 0.0
-        self.pairs = 0
-        self.dropped = 0
-        self._prev: tuple[float, list[int]] | None = None
-        self._prev_gpu_watts = 0.0
-
-    def add(self, instant: tuple[float, list[int]], gpu_watts: float = 0.0) -> None:
-        prev, self._prev = self._prev, instant
-        prev_gpu_watts, self._prev_gpu_watts = self._prev_gpu_watts, gpu_watts
-        if prev is None:
-            return
-        (earlier, before), (later, after) = prev, instant
-        if later <= earlier:
-            raise ValueError("readings must be in increasing time order")
-        deltas = list(map(sub, after, before))
-        if min(deltas) < 0:
-            self.dropped += 1
-            return
-        seconds = later - earlier
-        self.joules += sum(deltas) / UJ_PER_J + prev_gpu_watts * seconds
-        self.seconds += seconds
-        self.pairs += 1
-
-    def energy(self) -> Energy:
-        return Energy(self.joules, self.seconds, self.pairs, self.dropped)
-
-
 class SamplingSession:
     """The one loop that samples both the idle baseline (`collect_baseline`)
     and the child's run.  It runs on the calling thread, with no thread or
@@ -317,12 +312,15 @@ class SamplingSession:
     ran past it, so reads never burst to catch up.  The wake that reports
     the exit takes the trailing instant, which covers the last partial
     interval, and the child is reaped at once; without a pidfd (Linux
-    before 5.3) each wake checks `child.poll()`.  Instants, with the GPU
-    power polled beside each under `gpu_enabled`, are folded into an
-    `EnergyIntegral` as they arrive.  A trace was integrated while it was
-    read: a replay samples nothing, and `stop()` returns its `Energy`.  A
-    counter that turns unreadable mid-run (`ReadFailure`) ends the loop,
-    and `stop()` raises it rather than returning a partial integral.
+    before 5.3) each wake checks `child.poll()`.  Reads go to columns, and
+    each `BATCH_INSTANTS` of them, and the rest at the end, to the
+    `ColumnFold` a replay uses.  A read whose timestamp does not follow the
+    last one's (a coarse clock) is skipped: its µJ land in the next pair.
+    Under `gpu_enabled` the GPU is one more column, a virtual µJ counter
+    that each read advances by the watts polled at the read before over the
+    pair's seconds.  A replay samples nothing: `stop()` returns the trace's
+    `Energy`.  A counter that turns unreadable (`ReadFailure`) ends the
+    loop, and `stop()` raises it.
 
     GPU power is polled in wall-clock time, so it cannot price a replayed
     trace: a virtual-time source with `gpu_enabled` raises ValueError.
@@ -335,7 +333,11 @@ class SamplingSession:
         self._source = source
         self._config = config
         self._failure: ReadFailure | None = None
-        self._integral = EnergyIntegral()
+        self._energy = source.energy if source.virtual_time else Energy()
+        # the batch being read: timestamps, and µJ per domain, then the GPU's
+        self._stamps, self._columns = [], []
+        self._last_stamp = -math.inf
+        self._gpu_uj, self._gpu_watts = 0, 0.0  # watts polled at the last read
         self._started = 0.0
 
     def start(self) -> None:
@@ -350,31 +352,42 @@ class SamplingSession:
         return child.wait()
 
     def stop(self) -> Energy:
-        """What the counters recorded since `start()`, or the `ReadFailure`
-        that ended sampling early, raised."""
+        """What the counters recorded, or the `ReadFailure` that ended
+        sampling early, raised."""
         if self._failure is not None:
             raise self._failure
-        if self._source.virtual_time:
-            return self._source.energy
-        return self._integral.energy()
+        return self._energy
 
     def _read(self) -> bool:
-        """Fold one instant into the integral; False once a counter failed."""
+        """Append one instant to the batch; False once a counter failed."""
         try:
-            instant = self._source.next_instant()
+            stamp, counters = self._source.next_instant()
         except ReadFailure as exc:
             self._failure = exc
             return False
-        gpu_watts = (read_gpu_power() or 0.0) if self._config.gpu_enabled else 0.0
-        self._integral.add(instant, gpu_watts)
+        if stamp <= self._last_stamp:
+            return True
+        if self._config.gpu_enabled:
+            if self._gpu_watts:  # none is polled before the first read
+                self._gpu_uj += round(self._gpu_watts * (stamp - self._last_stamp) * UJ_PER_J)
+            self._gpu_watts = read_gpu_power() or 0.0
+            counters = [*counters, self._gpu_uj]
+        self._last_stamp = stamp
+        self._stamps.append(stamp)
+        self._columns = self._columns or [[] for _ in counters]
+        for column, uj in zip(self._columns, counters):
+            column.append(uj)
         return True
 
     def _sample(self, seconds: float = math.inf, child: subprocess.Popen | None = None) -> None:
         """Read an instant at each deadline until `seconds` after `start()`,
         or until `child` exits; the wake that reaches the end takes the
         last read.  A replay reads nothing."""
-        if self._source.virtual_time:
-            return
+        if not self._source.virtual_time:
+            self._energy = ColumnFold(self._loop(seconds, child)).energy
+
+    def _loop(self, seconds: float, child: subprocess.Popen | None) -> Iterator[tuple]:
+        """The loop of `_sample`: yields each full batch it reads, then the rest."""
         poller = select.poll()
         pidfd = None
         if child is not None:
@@ -398,6 +411,9 @@ class SamplingSession:
                 if child is not None and pidfd is None:
                     ended = child.poll() is not None
                 sampling = self._read() and not ended and wake < until
+                if self._stamps and (len(self._stamps) == BATCH_INSTANTS or not sampling):
+                    yield self._stamps, self._columns
+                    self._stamps, self._columns = [], []
         finally:
             if pidfd is not None:
                 os.close(pidfd)

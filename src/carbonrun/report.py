@@ -14,11 +14,10 @@ from __future__ import annotations
 import functools
 import json
 from datetime import datetime, timezone
-from html import escape
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 from . import __version__
-from .charts import bar_panel, pie_chart
+from .charts import bar_panel, escape, pie_chart
 from .emissions import (
     ComparisonPanel,
     EquivalencyFactors,

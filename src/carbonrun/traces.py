@@ -23,8 +23,8 @@ distinct range text is converted once.  Every check runs on a whole column,
 and only when one fails is the offending row located, to name its line.
 
 The rows of an instant cut by a chunk border wait for the next chunk.  A
-replay (`TraceSource`) folds each chunk's instants into the energy integral
-as soon as they are checked, carrying only the chunk's last instant over to
+replay (`TraceSource`) folds each chunk's instants (`meter.ColumnFold`) as
+soon as they are checked, carrying only the chunk's last instant over to
 pair it with the next chunk's first, so reading holds one chunk, the rest
 of a record open at its end, the rows of one instant and the integral's
 totals, however long the trace.  `parse_trace` builds the instants of the
@@ -42,7 +42,7 @@ from itertools import chain, compress, count, islice, repeat
 from operator import add, lt, mod, ne, sub
 from typing import NamedTuple, TextIO
 
-from .meter import UJ_PER_J, Energy, fold_columns
+from .meter import ColumnFold
 
 # Text parsed at a time.  Reading and folding a 100k-instant trace took about
 # as long at 16k to 64k characters, ~10 % longer at 8k and ~twice as long at
@@ -65,13 +65,12 @@ class TraceError(Exception):
 class TraceSource:
     """Counter source that replays a recorded trace in virtual time.
 
-    The trace is checked and integrated while it is read (see `fold_columns`
-    for the pair rule): each chunk's instants are folded as soon as they are
-    checked, and only the last one is kept, for the pair it forms with the
-    next chunk's first.  The kept µJ stay one exact integer and every term
-    of the kept seconds goes to one `math.fsum`, so the totals, `energy`,
-    equal a fold of the whole trace at once.  `span_s` is the time covered
-    by the recording and stands in for wall-clock duration.
+    The trace is checked and integrated while it is read: each chunk's
+    instants are folded as soon as they are checked, by the `ColumnFold` a
+    live session uses, which keeps only the last one, for the pair it forms
+    with the next chunk's first.  The totals, `energy`, equal a fold of the
+    whole trace at once.  `span_s` is the time covered by the recording and
+    stands in for wall-clock duration.
     """
 
     virtual_time = True
@@ -79,12 +78,8 @@ class TraceSource:
     def __init__(self, fh: TextIO):
         """Read and fold the trace text of `fh`, read with universal
         newlines (every line break is LF)."""
-        self._kept_uj = self._pairs = self._dropped = 0
-        self._first_ts = 0.0
-        self._last: tuple[array, list[int]] | None = None
-        seconds = math.fsum(chain.from_iterable(map(self._fold, _Loader().read(fh))))
-        self.energy = Energy(self._kept_uj / UJ_PER_J, seconds, self._pairs, self._dropped)
-        self.span_s = self._last[0][0] - self._first_ts
+        fold = ColumnFold((stamps, energies) for stamps, energies, _ in _Loader().read(fh))
+        self.energy, self.span_s = fold.energy, fold.span_s
 
     @classmethod
     def from_csv(cls, text: str) -> "TraceSource":
@@ -97,24 +92,6 @@ class TraceSource:
                 return cls(fh)
             except UnicodeDecodeError as exc:
                 raise TraceError(f"{path} is not UTF-8 text: {exc.reason}") from None
-
-    def _fold(self, instants: _Instants) -> Iterator[float]:
-        """Fold the pairs of a batch's instants, and the pair joining them to
-        the last batch's; return the terms of their kept seconds."""
-        stamps, energies, _ = instants
-        if self._last is None:
-            self._first_ts = stamps[0]
-        else:
-            last_stamp, last_energies = self._last
-            stamps = last_stamp + stamps
-            energies = [[e] + column for e, column in zip(last_energies, energies)]
-        self._last = stamps[-1:], [column[-1] for column in energies]
-        kept_uj, kept, dropped, seconds = fold_columns(stamps, energies)
-        self._kept_uj += kept_uj
-        self._pairs += kept
-        self._dropped += dropped
-        return seconds
-
 
 def _uncovered(index: int, domains: Iterable[str]) -> TraceError:
     return TraceError(f"instant {index} does not cover domains {sorted(domains)}")

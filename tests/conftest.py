@@ -48,8 +48,8 @@ def short_tail_trace():
 def pair_energy(prev, cur):
     """Joules all domains recorded between two instants of `parse_trace`,
     and the seconds the pair covers; None when a counter fell.  The pair
-    rule of `EnergyIntegral.add`, over instants that map each domain to a
-    reading."""
+    rule of `meter.fold_columns`, one pair at a time, over instants that map
+    each domain to a reading."""
     deltas = [cur[d].energy_uj - first.energy_uj for d, first in prev.items()]
     earlier, later = (next(iter(i.values())).timestamp for i in (prev, cur))
     if later <= earlier:
@@ -61,7 +61,7 @@ def pair_energy(prev, cur):
 
 def combine_instants(instants):
     """The `Energy` of consecutive instants, summed pair by pair: the
-    per-pair reference for the running integral that metering keeps.
+    per-pair reference for the column fold that metering does.
 
     Kept pairs (see `pair_energy`) add their joules and seconds, each summed
     with `math.fsum`; dropped pairs are only counted.

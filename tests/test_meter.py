@@ -1,7 +1,9 @@
 import errno
 import math
 import os
+import random
 import select
+import signal
 import stat
 import subprocess
 import threading
@@ -15,7 +17,6 @@ from carbonrun import cli, meter
 from carbonrun.meter import (
     EmptyProcessSamples,
     Energy,
-    EnergyIntegral,
     MeterConfig,
     NoPowercapInterface,
     ReadFailure,
@@ -45,51 +46,159 @@ def sample_child(source, config, argv=("sleep", "0.3")):
     return session, returncode
 
 
-def integrate(*instants):
-    """An `EnergyIntegral` fed `instants`, each (timestamp, [µJ per domain])."""
-    integral = EnergyIntegral()
-    for instant in instants:
-        integral.add(instant)
-    return integral
+def fold(*instants):
+    """The `Energy` that `fold_columns` gives `instants`, each (timestamp,
+    [µJ per domain])."""
+    stamps, counters = zip(*instants)
+    kept_uj, kept, dropped, seconds = fold_columns(stamps, list(zip(*counters)))
+    return Energy(kept_uj / meter.UJ_PER_J, math.fsum(seconds), kept, dropped)
+
+
+class Script:
+    """A live source that serves `instants`, each (timestamp, [µJ per
+    domain]), in order.  As it serves the last but one it ends `child`, so
+    the wake that sees the exit takes the last, and the run reads each
+    instant once."""
+
+    virtual_time = False
+
+    def __init__(self, instants):
+        self.instants = list(instants)
+        self.served = 0
+        self.child = self.session = None
+
+    def next_instant(self):
+        self.served += 1
+        if self.served == len(self.instants) - 1:
+            self.child.kill()
+            # dead but not reaped: the next wake sees the exit at once
+            os.waitid(os.P_PID, self.child.pid, os.WEXITED | os.WNOWAIT)
+        return self.instants[self.served - 1]
+
+
+def run_script(source, config=MeterConfig(sample_interval_s=0.01)):
+    """Sample a `Script` while a child runs until the script ends it; the
+    child is reaped.  Returns the session."""
+    session = source.session = meter.SamplingSession(source, config)
+    with subprocess.Popen(["sleep", "30"]) as child:
+        source.child = child
+        session.start()
+        assert session.wait(child) == -signal.SIGKILL
+    assert child.poll() == -signal.SIGKILL
+    assert source.served == len(source.instants)
+    return session
+
+
+def scripted_gpu(monkeypatch, *watts):
+    """GPU power polled as `watts`, one value per read; the config that polls it."""
+    monkeypatch.setattr(meter, "read_gpu_power", iter(watts).__next__)
+    return MeterConfig(sample_interval_s=0.01, gpu_enabled=True)
+
+
+def random_walk(seed, instants, domains=2):
+    """Instants whose counters advance by a seeded random walk and now and
+    then fall (a wrap or a reset), at uneven timestamps."""
+    rng = random.Random(seed)
+    stamp = rng.uniform(0.0, 1e5)
+    counters = [rng.randrange(10**12) for _ in range(domains)]
+    walk = []
+    for _ in range(instants):
+        walk.append((stamp, counters))
+        stamp += rng.uniform(1e-4, 0.05)
+        counters = [rng.randrange(10**6) if rng.random() < 0.1 else c + rng.randrange(10**7)
+                    for c in counters]
+    return walk
+
+
+def replay(instants):
+    """The `Energy` of `instants` written as a trace, with `repr`
+    timestamps, and replayed."""
+    rows = [f"{stamp!r},pkg-{d},{uj},{2**62}"
+            for stamp, counters in instants for d, uj in enumerate(counters)]
+    return TraceSource.from_csv("\n".join(rows)).energy
 
 
 class TestPowerFromReadings:
     def test_delta_over_time(self):
-        energy = integrate((0.0, [1_000_000]), (1.0, [3_000_000])).energy()
+        energy = fold((0.0, [1_000_000]), (1.0, [3_000_000]))
         assert energy == Energy(joules=2.0, seconds=1.0, pairs=1, dropped=0)
         assert energy.watts == 2.0
 
     def test_zero_delta_is_valid_idle(self):
-        energy = integrate((0.0, [5_000_000]), (0.1, [5_000_000])).energy()
+        energy = fold((0.0, [5_000_000]), (0.1, [5_000_000]))
         assert (energy.pairs, energy.watts) == (1, 0.0)
 
     def test_wrap_is_discarded(self):
-        energy = integrate((0.0, [900]), (1.0, [100])).energy()
+        energy = fold((0.0, [900]), (1.0, [100]))
         assert energy == Energy(dropped=1)
         assert energy.watts == 0.0
 
     def test_time_must_increase(self):
-        with pytest.raises(ValueError):
-            integrate((1.0, [0]), (1.0, [10]))
+        # time that goes back; for time that stands still see
+        # `TestSamplingSession.test_fold_rejects_time_that_does_not_increase`
+        with pytest.raises(ValueError, match="increasing time order"):
+            fold((0.0, [0]), (2.0, [10]), (1.0, [20]))
 
     def test_one_falling_domain_drops_the_pair_and_seconds_span_the_instants(self):
-        integral = integrate((0.0, [0, 500]), (1.0, [4_000_000, 100]),
-                             (3.0, [8_000_000, 2_000_100]))
-        assert (integral.pairs, integral.dropped) == (1, 1)
-        assert (integral.joules, integral.seconds) == (6.0, 2.0)
+        energy = fold((0.0, [0, 500]), (1.0, [4_000_000, 100]), (3.0, [8_000_000, 2_000_100]))
+        assert energy == Energy(joules=6.0, seconds=2.0, pairs=1, dropped=1)
 
-    def test_gpu_watts_price_the_pair_they_open(self):
-        integral = EnergyIntegral()
-        integral.add((0.0, [0]), gpu_watts=30.0)
-        integral.add((2.0, [2_000_000]), gpu_watts=50.0)
-        assert (integral.joules, integral.seconds) == (62.0, 2.0)
+    def test_gpu_watts_price_the_pair_they_open(self, monkeypatch):
+        config = scripted_gpu(monkeypatch, 30.0, 50.0)
+        session = run_script(Script([(0.0, [0]), (2.0, [2_000_000])]), config)
+        assert session.stop() == Energy(joules=62.0, seconds=2.0, pairs=1)
+
+    def test_a_pair_dropped_for_a_fall_drops_its_gpu_share(self, monkeypatch):
+        # the package falls over (0, 1), so the GPU's 30 J there go too; the
+        # pair (1, 3) keeps 2 mJ of package and 2 s at 50 W of GPU
+        config = scripted_gpu(monkeypatch, 30.0, 50.0, 70.0)
+        session = run_script(Script([(0.0, [1_000]), (1.0, [500]), (3.0, [2_500])]), config)
+        assert session.stop() == Energy(joules=100.002, seconds=2.0, pairs=1, dropped=1)
 
     def test_negative_watts_impossible_by_construction(self):
         # pkg-1 falls by more than pkg-0 rises: the pair's sum would be
         # negative, but the pair is dropped, not added
-        energy = integrate((0.0, [0, 9_000_000]), (1.0, [1_000_000, 0]),
-                           (2.0, [2_000_000, 1_000_000])).energy()
+        energy = fold((0.0, [0, 9_000_000]), (1.0, [1_000_000, 0]), (2.0, [2_000_000, 1_000_000]))
         assert energy == Energy(joules=2.0, seconds=1.0, pairs=1, dropped=1)
+
+
+class TestLiveFold:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_live_run_replays_to_the_same_energy(self, seed):
+        instants = random_walk(seed, 40)
+        live = run_script(Script(instants)).stop()
+        replayed = replay(instants)
+        assert live.dropped > 0
+        assert live == replayed
+        assert list(map(type, live)) == list(map(type, replayed)) == [float, float, int, int]
+
+    def test_a_session_holds_at_most_one_batch(self, monkeypatch):
+        monkeypatch.setattr(meter, "BATCH_INSTANTS", 4)
+        folds = []
+
+        class Fold(meter.ColumnFold):
+            def __init__(self, batches):
+                folds.append(self)
+                super().__init__(batches)
+
+        class Held(Script):
+            def next_instant(self):
+                # read since the last fold, and the instant the fold carries over
+                batch = [self.session._stamps, *self.session._columns]
+                carried = len(folds[0]._last[0]) if folds and folds[0]._last else 0
+                assert max(map(len, batch)) + carried <= 5
+                return super().next_instant()
+
+        monkeypatch.setattr(meter, "ColumnFold", Fold)
+        instants = random_walk(7, 30)
+        assert run_script(Held(instants)).stop() == replay(instants)
+        assert folds[0]._last[0] == [instants[-1][0]]
+
+    def test_a_read_that_repeats_its_timestamp_is_skipped(self):
+        # a coarse clock: the repeat's µJ land in the next pair
+        instants = [(0.0, [0]), (1.0, [1_000_000]), (1.0, [1_500_000]), (2.0, [3_000_000])]
+        session = run_script(Script(instants))
+        assert session.stop() == Energy(joules=3.0, seconds=2.0, pairs=2)
 
 
 class TestMeterConfig:
@@ -488,7 +597,7 @@ class TestSamplingSession:
             ts += interval
             counters = [c + delta for c, delta in zip(counters, deltas)]
             rows += [f"{ts!r},pkg-{d},{counters[d]},{2**62}" for d in range(domains)]
-        # the instants from `served` on, as columns and as the loop's instants
+        # the instants from `served` on, as columns and as instants
         instants = parse_trace("\n".join(rows))[served:]
         timestamps = [instant["pkg-0"].timestamp for instant in instants]
         energies = [[instant[f"pkg-{d}"].energy_uj for instant in instants]
@@ -496,11 +605,11 @@ class TestSamplingSession:
 
         kept_uj, kept, dropped, seconds = fold_columns(timestamps, energies)
         folded = Energy(kept_uj / meter.UJ_PER_J, math.fsum(seconds), kept, dropped)
-        looped = integrate(*zip(timestamps, map(list, zip(*energies)))).energy()
+        paired = combine_instants(instants)
 
-        assert (folded.pairs, folded.dropped) == (looped.pairs, looped.dropped)
-        assert math.isclose(folded.joules, looped.joules, rel_tol=1e-12)
-        assert math.isclose(folded.seconds, looped.seconds, rel_tol=1e-12)
+        assert (folded.pairs, folded.dropped) == (paired.pairs, paired.dropped)
+        assert math.isclose(folded.joules, paired.joules, rel_tol=1e-12)
+        assert math.isclose(folded.seconds, paired.seconds, rel_tol=1e-12)
 
     def test_replay_memory_does_not_grow_with_trace_length(self):
         def session_peak_bytes(instants):

@@ -1,8 +1,10 @@
 """The benchmark harness in `perfbench/` runs the package in-process and binds
 names in `carbonrun.cli` (`perfbench/traced.py`).  Its own tests are not part
 of this suite, so a change to the package that breaks those names would go
-unseen; one tiny per-layer run of each replay-only workload catches that
-without the live counter writer."""
+unseen; one tiny per-layer run of each workload catches that.  The
+live-meter run also drives `perfbench/live_driver.py`'s source, which counts
+its reads, and `traced.py`'s session subclass over a synthetic counter tree
+written by a helper process."""
 
 import json
 import subprocess
@@ -20,7 +22,7 @@ LAUNCHER = [sys.executable, "-S", "-c",
             "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"]
 
 
-@pytest.mark.parametrize("workload", ["startup", "long-trace"])
+@pytest.mark.parametrize("workload", ["startup", "long-trace", "live-meter"])
 def test_tiny_per_layer_run_is_correct(workload):
     proc = subprocess.run(
         [*LAUNCHER, sys.executable, str(RUN_PY), "--workload", workload, "--tiny",

@@ -1,10 +1,12 @@
+import html
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from carbonrun.charts import bar_panel, pie_chart
+from carbonrun.charts import bar_panel, escape, pie_chart
 from carbonrun.emissions import load_equivalency_factors
 from carbonrun.locate import LocationResolution, ResolutionMethod
 from carbonrun.meter import Energy, MeasurementSummary, MeterConfig, summarize
@@ -255,14 +257,14 @@ class TestHtmlRendering:
         assert render_html(doc) == golden
 
     def test_self_contained(self, doc):
-        html = render_html(doc).decode()
-        assert html.count("<svg") == 4  # one pie + three comparison panels
+        text = render_html(doc).decode()
+        assert text.count("<svg") == 4  # one pie + three comparison panels
         for marker in ("http-equiv", "src=", "href="):
-            assert marker not in html
+            assert marker not in text
 
     def test_fallback_note(self, snapshot):
-        html = render_html(fallback_doc(snapshot)).decode()
-        assert "Location defaulted to World (average)" in html
+        text = render_html(fallback_doc(snapshot)).decode()
+        assert "Location defaulted to World (average)" in text
 
     def test_command_is_escaped(self, snapshot):
         resolution = LocationResolution(
@@ -272,9 +274,13 @@ class TestHtmlRendering:
             reference_summary(), resolution, snapshot, load_equivalency_factors(),
             command="echo", arguments=("<b>&nasty</b>",), generated_at=FROZEN_TIME,
         )
-        html = render_html(doc).decode()
-        assert "<b>&nasty" not in html
-        assert "&lt;b&gt;" in html
+        text = render_html(doc).decode()
+        assert "<b>&nasty" not in text
+        assert "&lt;b&gt;" in text
+
+    @given(st.text())
+    def test_escape_agrees_with_the_html_package(self, text):
+        assert escape(text) == html.escape(text)
 
 
 class TestPieChart:

@@ -6,7 +6,8 @@ a file opened with `newline=""` splits them, then validates and groups one
 row at a time.  The chunked loader must accept exactly the traces this
 accepts, with the same instants, and name the same error for a trace with
 one defect.  The fold integrates the whole trace's columns at once; the
-streamed fold of `TraceSource` must give the same totals to the last bit.
+batched fold of `TraceSource` (`meter.ColumnFold`) must give the same
+totals to the last bit.
 """
 
 import csv
@@ -108,7 +109,7 @@ def _pairs(column, start):
 def fold_columns(timestamps, energies, start=0):
     """The `Energy` of every pair of consecutive instants from index `start`
     on, given the instants' timestamps and one counter column (µJ) per
-    domain, with the pair rule of `EnergyIntegral.add`, over whole columns."""
+    domain, with the pair rule of `meter.fold_columns`, over whole columns."""
     last = len(timestamps) - 1
     if last <= start:
         return Energy()
