@@ -14,7 +14,6 @@ import atexit
 import gc
 import os
 import signal
-import subprocess
 import sys
 import time
 from typing import NoReturn
@@ -68,43 +67,28 @@ def run_measured(
 ) -> tuple[int, ReportDocument | None]:
     """Measure `argv` with the measurement options of `run` or `bench`, as
     `_parser` builds them, and render its report; returns (exit code, document)."""
+    trace_path = options.trace
     try:
         snapshot = DatasetSnapshot.load(options.us_data, options.intl_data)
         factors = load_equivalency_factors(options.equivalencies)
-    except (SchemaError, EquivalencyError, OSError) as exc:
-        return _fail(str(exc)), None
-
-    try:
         resolution = resolve_location(
             snapshot,
             explicit=options.location,
             default_choice=options.default_region,
             offline=options.offline,
         )
-    except (UnknownRegion, ValueError) as exc:
-        return _fail(str(exc)), None
-
-    trace_path = options.trace
-    try:
         config = MeterConfig(
             sample_interval_s=options.sample_interval,
             psu_efficiency=options.efficiency,
-            baseline_duration_s=(
-                0.0 if options.no_baseline or trace_path else options.baseline_duration
-            ),
+            baseline_duration_s=options.baseline_duration,
             # GPU polling is wall-clock; it cannot mix with virtual trace time
             gpu_enabled=options.gpu and not trace_path,
         )
-    except ValueError as exc:
-        return _fail(str(exc)), None
-
-    try:
-        if trace_path:
-            source = TraceSource.from_file(trace_path)
-        else:
-            source = PowercapSource()
-    except (TraceError, ReadFailure, OSError) as exc:
-        return _fail(str(exc)), None
+        if options.no_baseline or trace_path:
+            config = config._replace(baseline_duration_s=0.0)
+        source = TraceSource.from_file(trace_path) if trace_path else PowercapSource()
+        baseline = collect_baseline(source, config)
+        session = SamplingSession(source, config)
     except NoPowercapInterface as exc:
         return (
             _fail(
@@ -114,26 +98,28 @@ def run_measured(
             ),
             None,
         )
-
-    try:
-        baseline = collect_baseline(source, config)
-    except ReadFailure as exc:
+    except (SchemaError, EquivalencyError, UnknownRegion, TraceError, ReadFailure,
+            ValueError, OSError) as exc:
         return _fail(str(exc)), None
 
-    session = SamplingSession(source, config)
     try:
-        child = subprocess.Popen(argv)
+        # SIGPIPE and SIGXFSZ at their defaults, not ignored as Python has
+        # them; descriptors carbonrun inherited stay open, as under `time`
+        pid = os.posix_spawnp(argv[0], argv, os.environ,
+                              setsigdef=(signal.SIGPIPE, signal.SIGXFSZ))
     except (OSError, ValueError) as exc:
         print(f"carbonrun: cannot run {argv[0]!r}: {exc}", file=sys.stderr)
         return EXIT_SPAWN, None
 
     def forward(signum, frame):
         try:
-            child.send_signal(signum)
-        except (ProcessLookupError, OSError):
-            pass
+            os.kill(pid, signum)
+        except OSError:
+            pass  # a setuid child, such as sudo's, answers EPERM
 
-    # from here on the signals go to the child, also during the first read
+    # from here on the signals go to the child, also during the first read;
+    # it is reaped only once they are restored, so they cannot reach a
+    # process that took over its pid
     previous = {
         sig: signal.signal(sig, forward)
         for sig in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP, signal.SIGQUIT)
@@ -141,13 +127,14 @@ def run_measured(
     started = time.monotonic()
     try:
         session.start()
-        returncode = session.wait(child)
+        session.wait(pid)
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
     wall = time.monotonic() - started
 
-    # a child killed by signal N reports -N; use the shell's 128+N style
+    # a child killed by signal N gives -N; use the shell's 128+N style
+    returncode = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     exit_code = 128 - returncode if returncode < 0 else returncode
     try:
         energy = session.stop()

@@ -22,7 +22,6 @@ import os
 import re
 import select
 import shutil
-import subprocess
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress, count, groupby, islice, starmap
@@ -270,6 +269,8 @@ def read_gpu_power(command: list[str] | None = None) -> float | None:
     non-negative number per line) means the GPU contribution is simply
     unavailable; it never aborts a measurement.
     """
+    import subprocess  # only `--gpu` runs a tool
+
     cmd = command or GPU_QUERY
     if shutil.which(cmd[0]) is None:
         return None
@@ -306,14 +307,15 @@ class SamplingSession:
     and the child's run.  It runs on the calling thread, with no thread or
     lock beside it: the sampler's CPU lands in the counters it reads.
 
-    For a live source `start()` takes the first instant and `wait(child)`
+    For a live source `start()` takes the first instant and `wait(pid)`
     the rest: it sleeps in `select.poll` on a pidfd of the child until the
     next deadline, `sample_interval_s` after the last one, or now if a read
     ran past it, so reads never burst to catch up.  The wake that reports
     the exit takes the trailing instant, which covers the last partial
-    interval, and the child is reaped at once; without a pidfd (Linux
-    before 5.3) each wake checks `child.poll()`.  Reads go to columns, and
-    each `BATCH_INSTANTS` of them, and the rest at the end, to the
+    interval; without a pidfd (Linux before 5.3) each wake asks `os.waitid`
+    with `WNOHANG`.  The child is never reaped here, so its pid cannot be
+    recycled while the caller may still signal it.  Reads go to columns,
+    and each `BATCH_INSTANTS` of them, and the rest at the end, to the
     `ColumnFold` a replay uses.  A read whose timestamp does not follow the
     last one's (a coarse clock) is skipped: its µJ land in the next pair.
     Under `gpu_enabled` the GPU is one more column, a virtual µJ counter
@@ -346,10 +348,11 @@ class SamplingSession:
             self._started = time.monotonic()
             self._read()
 
-    def wait(self, child: subprocess.Popen) -> int:
-        """Sample until `child` exits, reap it and return its return code."""
-        self._sample(child=child)
-        return child.wait()
+    def wait(self, pid: int) -> None:
+        """Sample until the child `pid` exits, and return without reaping it.
+        A replay, or a run whose sampling stopped early, waits for the exit."""
+        self._sample(pid=pid)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
 
     def stop(self) -> Energy:
         """What the counters recorded, or the `ReadFailure` that ended
@@ -379,22 +382,22 @@ class SamplingSession:
             column.append(uj)
         return True
 
-    def _sample(self, seconds: float = math.inf, child: subprocess.Popen | None = None) -> None:
+    def _sample(self, seconds: float = math.inf, pid: int | None = None) -> None:
         """Read an instant at each deadline until `seconds` after `start()`,
-        or until `child` exits; the wake that reaches the end takes the
-        last read.  A replay reads nothing."""
+        or until the child `pid` exits; the wake that reaches the end takes
+        the last read.  A replay reads nothing."""
         if not self._source.virtual_time:
-            self._energy = ColumnFold(self._loop(seconds, child)).energy
+            self._energy = ColumnFold(self._loop(seconds, pid)).energy
 
-    def _loop(self, seconds: float, child: subprocess.Popen | None) -> Iterator[tuple]:
+    def _loop(self, seconds: float, pid: int | None) -> Iterator[tuple]:
         """The loop of `_sample`: yields each full batch it reads, then the rest."""
         poller = select.poll()
         pidfd = None
-        if child is not None:
+        if pid is not None:
             try:
-                pidfd = os.pidfd_open(child.pid)
+                pidfd = os.pidfd_open(pid)
             except (AttributeError, OSError):
-                pass  # no pidfd: each wake polls the child instead
+                pass  # no pidfd: each wake asks for the exit instead
             else:
                 poller.register(pidfd, select.POLLIN)
         until = self._started + seconds
@@ -408,8 +411,9 @@ class SamplingSession:
                 wake = min(deadline, until)
                 # a negative timeout waits forever; rounding may push one past the ceiling
                 ended = poller.poll(min(max(wake - now, 0.0) * 1000, _POLL_MAX_MS))
-                if child is not None and pidfd is None:
-                    ended = child.poll() is not None
+                if pid is not None and pidfd is None:
+                    flags = os.WEXITED | os.WNOHANG | os.WNOWAIT
+                    ended = os.waitid(os.P_PID, pid, flags) is not None
                 sampling = self._read() and not ended and wake < until
                 if self._stamps and (len(self._stamps) == BATCH_INSTANTS or not sampling):
                     yield self._stamps, self._columns

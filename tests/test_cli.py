@@ -213,6 +213,18 @@ class TestExitCodes:
         assert "must be between" in proc.stderr
         assert not marker.exists()
 
+    @pytest.mark.parametrize("skip", ["--trace", "--no-baseline"])
+    def test_negative_baseline_duration_exits_2_whatever_skips_the_baseline(
+            self, trace_file, tmp_path, skip):
+        # a replay and --no-baseline take no baseline, but the value is still checked
+        marker = tmp_path / "child-ran"
+        flags = (skip, trace_file) if skip == "--trace" else (skip,)
+        proc = run_cli("run", "--offline", *flags, "--baseline-duration", "-1",
+                       "--", "touch", str(marker))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("carbonrun: error: baseline duration must be between")
+        assert not marker.exists()
+
     def test_empty_region_group_exits_2_before_child(self, trace_file, tmp_path):
         marker = tmp_path / "child-ran"
         proc = measured_run(trace_file, "--intl-data", no_europe_data_file(tmp_path),
@@ -467,6 +479,35 @@ class TestChildCommandLine:
         assert "Energy Usage Report" in proc.stderr  # a text report: --format stayed the child's
 
 
+class TestChildStart:
+    def test_sigpipe_and_sigxfsz_start_at_their_defaults(self, trace_file):
+        # Python ignores both for itself; the child must not inherit that.
+        # Only these two bits: a libc may leave its own internal signals ignored.
+        proc = run_cli("run", "--trace", trace_file, "--offline", "--",
+                       "grep", "SigIgn", "/proc/self/status")
+        assert proc.returncode == 0, proc.stderr
+        ignored = int(proc.stdout.split()[1], 16)
+        assert ignored & (1 << (signal.SIGPIPE - 1)) == 0
+        assert ignored & (1 << (signal.SIGXFSZ - 1)) == 0
+
+    def test_inherited_descriptors_reach_the_child(self, trace_file):
+        # as under `time`: a descriptor handed to carbonrun, such as make's
+        # jobserver pipe, is open in the child too
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb") as reader:
+            try:
+                proc = subprocess.run(
+                    [*CLI, "run", "--trace", trace_file, "--offline", "--", sys.executable,
+                     "-c", "import os, sys; os.write(int(sys.argv[1]), b'reached')",
+                     str(write_end)],
+                    capture_output=True, text=True, timeout=60, pass_fds=(write_end,),
+                    env={k: v for k, v in os.environ.items() if k != "ENERGYUSAGE_REGION"})
+            finally:
+                os.close(write_end)
+            assert proc.returncode == 0, proc.stderr
+            assert reader.read() == b"reached"
+
+
 class TestDependencies:
     def test_import_loads_no_third_party_package(self):
         third_party = ["requests", "urllib3", "charset_normalizer", "idna", "click"]
@@ -481,7 +522,7 @@ class TestDependencies:
 
     def test_import_leaves_out_dataclasses_inspect_and_difflib(self):
         # -S: no site hook, so only the CLI's own imports count
-        heavy = ["dataclasses", "inspect", "difflib", "html"]
+        heavy = ["dataclasses", "inspect", "difflib", "html", "subprocess"]
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         proc = subprocess.run(
             [sys.executable, "-S", "-c",

@@ -38,11 +38,12 @@ from conftest import (
 
 def sample_child(source, config, argv=("sleep", "0.3")):
     """Sample `source` while a child runs `argv`, the way `cli.run_measured`
-    does; returns the session and the child's return code."""
+    does, then reap the child; returns the session and its return code."""
     session = meter.SamplingSession(source, config)
     with subprocess.Popen(argv) as child:
         session.start()
-        returncode = session.wait(child)
+        session.wait(child.pid)
+        returncode = child.wait()
     return session, returncode
 
 
@@ -83,7 +84,8 @@ def run_script(source, config=MeterConfig(sample_interval_s=0.01)):
     with subprocess.Popen(["sleep", "30"]) as child:
         source.child = child
         session.start()
-        assert session.wait(child) == -signal.SIGKILL
+        session.wait(child.pid)
+        assert child.wait() == -signal.SIGKILL
     assert child.poll() == -signal.SIGKILL
     assert source.served == len(source.instants)
     return session
@@ -805,6 +807,23 @@ class TestMainThreadLoop:
         assert 0.3 <= time.monotonic() - started < 1.0
         assert code == 4
         assert session.stop().pairs >= 0.3 / interval
+
+    @pytest.mark.parametrize("case", ["live", "replay", "read failure"])
+    def test_wait_returns_once_the_child_exits_and_leaves_it_unreaped(self, tmp_path, case):
+        root, domains = make_package_tree(tmp_path)
+        if case == "replay":
+            source = TraceSource.from_csv(constant_trace(10.0, 3))
+        else:
+            source = meter.PowercapSource(str(root))
+        if case == "read failure":
+            (domains[0] / "energy_uj").unlink()  # the first read fails
+        session = meter.SamplingSession(source, MeterConfig(sample_interval_s=0.01))
+        with subprocess.Popen(["sleep", "0.2"]) as child:
+            session.start()
+            session.wait(child.pid)
+            exited = os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+            assert exited is not None and exited.si_pid == child.pid
+            assert child.wait() == 0
 
     def test_sampling_starts_no_thread(self, tmp_path):
         root, _ = make_package_tree(tmp_path)
