@@ -67,6 +67,9 @@ def run_measured(
 ) -> tuple[int, ReportDocument | None]:
     """Measure `argv` with the measurement options of `run` or `bench`, as
     `_parser` builds them, and render its report; returns (exit code, document)."""
+    # an ignored SIGCHLD, which a parent may leave set across exec, would have
+    # the command and `nvidia-smi` reaped unasked and their exit status lost
+    signal.signal(signal.SIGCHLD, signal.SIG_DFL)
     trace_path = options.trace
     try:
         snapshot = DatasetSnapshot.load(options.us_data, options.intl_data)

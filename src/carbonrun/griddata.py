@@ -419,10 +419,11 @@ class DatasetSnapshot:
 
 
 def read_data(path: str | None, name: str) -> str:
-    """The UTF-8 text of `path`, or of the packaged `data/<name>` if it is None."""
+    """The UTF-8 text of `path`, or of the packaged `data/<name>` if it is
+    None; a leading byte-order mark, which spreadsheets write, is dropped."""
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data", name)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:

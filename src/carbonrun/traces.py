@@ -19,16 +19,20 @@ line breaks, and is split so by `str.split`, which is about three times as
 fast: that is nearly every chunk of a recorded trace.  The four columns
 are stride slices of the field list; timestamps and counter values are
 converted by `float` and `int` mapped over a whole column, and each
-distinct range text is converted once.  Every check runs on a whole column,
-and only when one fails is the offending row located, to name its line.
+distinct range text is converted once.  Each value is checked where it is
+converted, on a whole column: a finite timestamp, a counter in
+[0, 2^63 - 1] and a range in [1, 2^63 - 1].  Only when a check fails is
+the offending row located, to name its line.  No range goes further: a
+replay folds timestamps and counters alone.
 
 The rows of an instant cut by a chunk border wait for the next chunk.  A
 replay (`TraceSource`) folds each chunk's instants (`meter.ColumnFold`) as
 soon as they are checked, carrying only the chunk's last instant over to
 pair it with the next chunk's first, so reading holds one chunk, the rest
 of a record open at its end, the rows of one instant and the integral's
-totals, however long the trace.  `parse_trace` builds the instants of the
-same checked chunks instead.
+totals, however long the trace.  `parse_trace` checks a trace the same
+way, then reads it again to group its rows, range texts included, into
+instants.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ import csv
 import io
 import math
 from array import array
-from collections.abc import Iterable, Iterator
-from itertools import chain, compress, count, islice, repeat
-from operator import add, lt, mod, ne, sub
+from collections.abc import Iterator
+from itertools import chain, compress, count, groupby, islice, repeat
+from operator import add, itemgetter, lt, mod, ne, sub
 from typing import NamedTuple, TextIO
 
 from .meter import ColumnFold
@@ -48,14 +52,16 @@ from .meter import ColumnFold
 # as long at 16k to 64k characters, ~10 % longer at 8k and ~twice as long at
 # 128k.
 _CHUNK_CHARS = 32 * 1024
-_INT64_MAX = 2**63 - 1
+_INT64_MAX = 2**63 - 1  # the largest counter or range a trace may hold
 
-# one batch of data rows, as columns: timestamps, domains, counter values,
-# ranges, and each row's line number as `csv.reader` counts records
-_Batch = tuple[array, list[str], list[int], list[int], list[int]]
-# the checked instants of a batch: their timestamps and, per domain in the
-# first instant's row order, their counter values and their ranges
-_Instants = tuple[array, list[list[int]], list[list[int]]]
+# one batch of checked data rows, as columns: timestamps, domains, counter
+# values, range texts, and each row's line number as `csv.reader` counts records
+_Batch = tuple[array, list[str], list[int], list[str], list[int]]
+# the rows `_Loader` holds: the columns of `_Batch` but the range texts
+_Rows = tuple[array, list[str], list[int], list[int]]
+# the checked instants of a batch, as `ColumnFold` takes them: their
+# timestamps and, per domain in the first instant's row order, their counters
+_Instants = tuple[array, list[list[int]]]
 
 
 class TraceError(Exception):
@@ -78,7 +84,7 @@ class TraceSource:
     def __init__(self, fh: TextIO):
         """Read and fold the trace text of `fh`, read with universal
         newlines (every line break is LF)."""
-        fold = ColumnFold((stamps, energies) for stamps, energies, _ in _Loader().read(fh))
+        fold = ColumnFold(_Loader().read(fh))
         self.energy, self.span_s = fold.energy, fold.span_s
 
     @classmethod
@@ -87,18 +93,12 @@ class TraceSource:
 
     @classmethod
     def from_file(cls, path: str) -> "TraceSource":
-        with open(path, encoding="utf-8") as fh:
+        """Replay the trace file `path`; a leading byte-order mark is dropped."""
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 return cls(fh)
             except UnicodeDecodeError as exc:
                 raise TraceError(f"{path} is not UTF-8 text: {exc.reason}") from None
-
-def _uncovered(index: int, domains: Iterable[str]) -> TraceError:
-    return TraceError(f"instant {index} does not cover domains {sorted(domains)}")
-
-
-def _out_of_range(index: int) -> TraceError:
-    return TraceError(f"instant {index}: counter values out of range")
 
 
 def _chunks(fh: TextIO) -> Iterator[str]:
@@ -173,22 +173,23 @@ def _csv_fields(chunk: str, fh: TextIO, first: int) -> tuple[list[str], list[int
 
 
 def _convert(fields: list[str], numbers: list[int]) -> _Batch:
-    """Convert each column in one pass; check every row's values.  A trace
-    repeats each domain's range, so each distinct range text converts once."""
+    """Convert each column in one pass and check every row's values.  A
+    trace repeats each domain's range, so each distinct range text converts
+    once, to be checked; the texts are kept."""
     range_texts = fields[3::4]
     try:
         stamps = array("d", map(float, fields[0::4]))
         energies = list(map(int, fields[2::4]))
-        range_of = {text: int(text) for text in set(range_texts)}
+        ranges = list(map(int, set(range_texts)))
     except ValueError:
         valid = False
     else:
-        valid = (all(map(math.isfinite, stamps)) and min(energies, default=0) >= 0
-                 and min(range_of.values(), default=1) > 0)
+        valid = (all(map(math.isfinite, stamps))
+                 and 0 <= min(energies, default=0) and max(energies, default=0) <= _INT64_MAX
+                 and 1 <= min(ranges, default=1) and max(ranges, default=1) <= _INT64_MAX)
     if not valid:
         _raise_row_error(fields, numbers)
-    return (stamps, list(map(str.strip, fields[1::4])), energies,
-            list(map(range_of.__getitem__, range_texts)), numbers)
+    return stamps, list(map(str.strip, fields[1::4])), energies, range_texts, numbers
 
 
 def _raise_row_error(fields: list[str], numbers: list[int]) -> None:
@@ -201,18 +202,18 @@ def _raise_row_error(fields: list[str], numbers: list[int]) -> None:
             raise TraceError(f"line {number}: {exc}") from None
         if not math.isfinite(ts):
             raise TraceError(f"line {number}: timestamp {stamp.strip()} is not finite")
-        if e < 0 or r <= 0:
+        if not (0 <= e <= _INT64_MAX and 0 < r <= _INT64_MAX):
             raise TraceError(f"line {number}: counter values out of range")
     raise AssertionError("a column check failed but no row fails it")
 
 
-def _no_rows() -> _Batch:
-    return array("d"), [], [], [], []
+def _no_rows() -> _Rows:
+    return array("d"), [], [], []
 
 
 class _Loader:
-    """Checks batches of rows for the instant structure and hands on their
-    whole instants.
+    """Checks batches of converted rows for the instant structure and hands
+    on their whole instants.
 
     Valid rows form blocks of D rows, D being the size of the first instant:
     each block shares one timestamp, block timestamps strictly increase, and
@@ -230,8 +231,8 @@ class _Loader:
     def read(self, fh: TextIO) -> Iterator[_Instants]:
         """The instants of the trace text of `fh`, checked, a batch at a time."""
         try:
-            for batch in _batches(fh):
-                if instants := self.add(*batch):
+            for stamps, domains, energies, _, numbers in _batches(fh):
+                if instants := self.add(stamps, domains, energies, numbers):
                     yield instants
         except csv.Error as exc:
             raise TraceError(str(exc)) from None
@@ -241,14 +242,14 @@ class _Loader:
             raise TraceError("trace needs at least two instants to form a sample")
 
     def add(self, stamps: array, domains: list[str], energies: list[int],
-            ranges: list[int], numbers: list[int], last: bool = False) -> _Instants | None:
+            numbers: list[int], last: bool = False) -> _Instants | None:
         """Check a batch of rows; return its whole instants, if any.  With
         `last`, the trace ends here."""
         held = len(self._pending[0])  # rows waiting since earlier batches
         if held:
-            for waiting, new in zip(self._pending, (stamps, domains, energies, ranges, numbers)):
+            for waiting, new in zip(self._pending, (stamps, domains, energies, numbers)):
                 waiting.extend(new)
-            stamps, domains, energies, ranges, numbers = self._pending
+            stamps, domains, energies, numbers = self._pending
         rows = len(stamps)
         if not self.domains:
             if not rows:
@@ -261,7 +262,7 @@ class _Loader:
                 self._first_domains.update(domains[held:])
                 if len(self._first_domains) < rows:  # a domain repeated
                     self._raise_group_error(stamps, domains, numbers, rows)
-                self._pending = (stamps, domains, energies, ranges, numbers)
+                self._pending = (stamps, domains, energies, numbers)
                 return None
             width = width or rows
             if len(set(domains[:width])) < width:
@@ -276,29 +277,22 @@ class _Loader:
             and all(stamps[j:whole:width] == block_stamps for j in range(1, width))
             and all(map(lt, since_last, islice(since_last, 1, None)))
         )
-        self._pending = (stamps[whole:], domains[whole:], energies[whole:],
-                         ranges[whole:], numbers[whole:])
+        self._pending = stamps[whole:], domains[whole:], energies[whole:], numbers[whole:]
         if whole < rows:
-            energies, ranges = energies[:whole], ranges[:whole]
+            energies = energies[:whole]
         if valid and not all(domains[j:whole:width].count(d) == whole // width
                              for j, d in enumerate(self.domains)):
             order = _block_order(domains, self.domains, whole)  # domains in another order
             valid = order is not None
             if valid:
                 energies = list(map(energies.__getitem__, order))
-                ranges = list(map(ranges.__getitem__, order))
         if not valid:
             self._raise_group_error(stamps, domains, numbers, rows if last else whole)
         if not whole:
             return None
-        if max(energies) > _INT64_MAX or max(ranges) > _INT64_MAX:
-            first_bad = next(i for i, (e, r) in enumerate(zip(energies, ranges))
-                             if max(e, r) > _INT64_MAX)
-            raise _out_of_range(self.instants + first_bad // width)
         self.instants += whole // width
         self._last_stamp = block_stamps[-1:]
-        return (block_stamps, [energies[j::width] for j in range(width)],
-                [ranges[j::width] for j in range(width)])
+        return block_stamps, [energies[j::width] for j in range(width)]
 
     def _raise_group_error(self, stamps: array, domains: list[str],
                            numbers: list[int], rows: int) -> None:
@@ -328,7 +322,7 @@ def _check_cover(index: int, group: set[str], covered: set[str] | None) -> set[s
     if covered is None:
         return group
     if group != covered:
-        raise _uncovered(index, covered)
+        raise TraceError(f"instant {index} does not cover domains {sorted(covered)}")
     return covered
 
 
@@ -355,10 +349,14 @@ class EnergyCounterReading(NamedTuple):  # one row of a trace
 
 
 def parse_trace(text: str) -> list[dict[str, EnergyCounterReading]]:
-    """Every instant of a trace, checked as `TraceSource` checks it."""
-    loader = _Loader()
+    """Every instant of a trace, checked as `TraceSource` checks it: the
+    rows of each, one per domain, in the order the trace lists them."""
+    for _ in _Loader().read(io.StringIO(text, newline=None)):
+        pass
+    rows = chain.from_iterable(
+        zip(stamps, domains, energies, range_texts)
+        for stamps, domains, energies, range_texts, _ in _batches(io.StringIO(text, newline=None)))
     return [
-        {d: EnergyCounterReading(d, e, r, ts) for d, e, r in zip(loader.domains, energies, ranges)}
-        for stamps, energy_columns, range_columns in loader.read(io.StringIO(text, newline=None))
-        for ts, energies, ranges in zip(stamps, zip(*energy_columns), zip(*range_columns))
+        {d: EnergyCounterReading(d, e, int(r), ts) for ts, d, e, r in instant}
+        for _, instant in groupby(rows, itemgetter(0))
     ]

@@ -507,6 +507,17 @@ class TestChildStart:
             assert proc.returncode == 0, proc.stderr
             assert reader.read() == b"reached"
 
+    def test_an_ignored_sigchld_loses_neither_the_child_nor_its_code(self, trace_file):
+        # an ignored SIGCHLD survives exec: the child would be reaped unasked
+        proc = subprocess.run(
+            [*CLI, "run", "--offline", "--location", "de", "--trace", trace_file, "--",
+             "sh", "-c", "grep SigIgn /proc/self/status; exit 3"],
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: signal.signal(signal.SIGCHLD, signal.SIG_IGN))
+        assert proc.returncode == 3, proc.stderr
+        assert "Energy Usage Report" in proc.stderr
+        assert int(proc.stdout.split()[1], 16) & (1 << (signal.SIGCHLD - 1)) == 0
+
 
 class TestDependencies:
     def test_import_loads_no_third_party_package(self):

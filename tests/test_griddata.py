@@ -1,3 +1,4 @@
+import codecs
 import collections
 import csv
 import io
@@ -5,6 +6,7 @@ import io
 import pytest
 
 from carbonrun import griddata
+from carbonrun.emissions import EQUIV_DATA_FILE, load_equivalency_factors
 from carbonrun.griddata import (
     CANONICAL_INTENSITIES,
     EGRID_HEADER,
@@ -279,6 +281,18 @@ class TestSnapshot:
         assert sizes[RegionGroup.US] == 51
         assert sizes[RegionGroup.EUROPE] + sizes[RegionGroup.GLOBAL] == 186
         assert len(snapshot.regions) == 51 + 186 + 3
+
+    def test_data_files_saved_with_a_byte_order_mark_load(self, snapshot, tmp_path):
+        # as a spreadsheet's "CSV UTF-8" saves them
+        paths = {}
+        for name in (griddata.US_DATA_FILE, griddata.INTL_DATA_FILE, EQUIV_DATA_FILE):
+            paths[name] = tmp_path / name
+            paths[name].write_bytes(codecs.BOM_UTF8 + griddata.read_data(None, name).encode())
+            assert griddata.read_data(str(paths[name]), name) == griddata.read_data(None, name)
+        loaded = DatasetSnapshot.load(str(paths[griddata.US_DATA_FILE]),
+                                      str(paths[griddata.INTL_DATA_FILE]))
+        assert loaded.regions == snapshot.regions
+        assert load_equivalency_factors(str(paths[EQUIV_DATA_FILE])) == load_equivalency_factors()
 
 
 class TestLookup:

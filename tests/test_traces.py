@@ -1,3 +1,4 @@
+import codecs
 import csv
 import os
 import random
@@ -46,6 +47,11 @@ def test_from_file(tmp_path):
     assert TraceSource.from_file(str(path)).span_s == pytest.approx(5.0)
 
 
+# a counter, then a range, one past the largest a trace may hold
+BEYOND_64_BITS = [
+    f"0,pkg-0,{2**63},100\n1,pkg-0,{2**63 + 5},100\n",
+    f"0,pkg-0,0,{2**63}\n1,pkg-0,5,{2**63}\n",
+]
 MALFORMED_TRACES = [
     "0,pkg-0,0\n1,pkg-0,10\n",  # wrong field count
     "0,pkg-0,zero,100\n1,pkg-0,10,100\n",  # non-numeric energy
@@ -56,7 +62,7 @@ MALFORMED_TRACES = [
     "0,pkg-0,0,100\n1,pkg-0,5,100\nnan,pkg-0,9,100\n",  # timestamp not a number
     "0,pkg-0,0,100\ninf,pkg-0,5,100\n",  # infinite timestamp
     "0,pkg-0,-5,100\n1,pkg-0,5,100\n",  # negative counter
-    f"0,pkg-0,{2**63},100\n1,pkg-0,{2**63 + 5},100\n",  # counter beyond 64 bits
+    *BEYOND_64_BITS,
 ]
 
 # the bytes of a file that is not UTF-8 text
@@ -67,6 +73,21 @@ NON_UTF8_TRACE = b"0,pkg-0,0,100\n1,pkg-\xff0,5,100\n"
 def test_malformed_traces_rejected(text):
     with pytest.raises(TraceError):
         parse_trace(text)
+
+
+@pytest.mark.parametrize("text", BEYOND_64_BITS)
+def test_values_beyond_64_bits_fail_on_their_line(text):
+    with pytest.raises(TraceError, match="^line 1: counter values out of range$"):
+        parse_trace(text)
+
+
+@pytest.mark.parametrize("header", ["timestamp_s,domain_id,energy_uj,max_range_uj\n", ""])
+def test_a_byte_order_mark_is_dropped(tmp_path, header):
+    # as a spreadsheet's "CSV UTF-8" saves a trace
+    text = header + constant_trace(2.0, 5)
+    path = tmp_path / "t.csv"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert TraceSource.from_file(str(path)).energy == TraceSource.from_csv(text).energy
 
 
 def test_non_utf8_file_rejected(tmp_path):
@@ -127,8 +148,9 @@ def test_a_quoted_line_break_at_every_chunk_border_reads_one_record_on(monkeypat
     text = "timestamp\n" + "".join(records)
     monkeypatch.setattr(traces, "_CHUNK_CHARS", 20)
     sizes = _batch_sizes(monkeypatch)
-    assert parse_trace(text) == reference_parse(text)
+    assert totals(TraceSource.from_csv(text)) == reference_totals(text)
     assert len(sizes) == 400 and max(sizes) == 1
+    assert parse_trace(text) == reference_parse(text)
 
 
 def test_a_first_instant_longer_than_many_chunks(monkeypatch):

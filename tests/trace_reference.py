@@ -50,7 +50,7 @@ def _instants(rows):
         if not math.isfinite(ts):
             raise TraceError(f"line {lineno}: timestamp {row[0].strip()} is not finite")
         domain = row[1].strip()
-        if energy < 0 or max_range <= 0:
+        if not (0 <= energy < 2**63 and 0 < max_range < 2**63):
             raise TraceError(f"line {lineno}: counter values out of range")
         if ts != group_ts:
             if group_ts is not None:
@@ -76,13 +76,10 @@ def _load(groups):
             domains = set(group)
         elif group.keys() != domains:
             raise TraceError(f"instant {index} does not cover domains {sorted(domains)}")
-        try:
-            for domain, energies, ranges in columns:
-                energy, max_range = group[domain]
-                energies.append(energy)
-                ranges.append(max_range)
-        except OverflowError:
-            raise TraceError(f"instant {index}: counter values out of range") from None
+        for domain, energies, ranges in columns:
+            energy, max_range = group[domain]
+            energies.append(energy)
+            ranges.append(max_range)
         timestamps.append(ts)
     if len(timestamps) < 2:
         raise TraceError("trace needs at least two instants to form a sample")
