@@ -15,7 +15,6 @@ import gc
 import os
 import signal
 import sys
-import time
 from typing import NoReturn
 
 from . import __version__
@@ -40,9 +39,9 @@ EXIT_ENVIRONMENT = 2
 EXIT_SPAWN = 127
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, code: int = EXIT_ENVIRONMENT) -> int:
     print(f"carbonrun: error: {message}", file=sys.stderr)
-    return EXIT_ENVIRONMENT
+    return code
 
 
 def _exit(code: int) -> NoReturn:
@@ -66,11 +65,12 @@ def run_measured(
     argv: list[str], options: argparse.Namespace
 ) -> tuple[int, ReportDocument | None]:
     """Measure `argv` with the measurement options of `run` or `bench`, as
-    `_parser` builds them, and render its report; returns (exit code, document)."""
+    `_parser` builds them, and render its report; returns (exit code, document).
+    Live or replayed, the duration is the session's `span_s`, the span of its
+    reads; the meter leaves out what a replay does not record (baseline, GPU)."""
     # an ignored SIGCHLD, which a parent may leave set across exec, would have
     # the command and `nvidia-smi` reaped unasked and their exit status lost
     signal.signal(signal.SIGCHLD, signal.SIG_DFL)
-    trace_path = options.trace
     try:
         snapshot = DatasetSnapshot.load(options.us_data, options.intl_data)
         factors = load_equivalency_factors(options.equivalencies)
@@ -84,12 +84,11 @@ def run_measured(
             sample_interval_s=options.sample_interval,
             psu_efficiency=options.efficiency,
             baseline_duration_s=options.baseline_duration,
-            # GPU polling is wall-clock; it cannot mix with virtual trace time
-            gpu_enabled=options.gpu and not trace_path,
+            gpu_enabled=options.gpu,
         )
-        if options.no_baseline or trace_path:
+        if options.no_baseline:
             config = config._replace(baseline_duration_s=0.0)
-        source = TraceSource.from_file(trace_path) if trace_path else PowercapSource()
+        source = TraceSource.from_file(options.trace) if options.trace else PowercapSource()
         baseline = collect_baseline(source, config)
         session = SamplingSession(source, config)
     except NoPowercapInterface as exc:
@@ -127,30 +126,22 @@ def run_measured(
         sig: signal.signal(sig, forward)
         for sig in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP, signal.SIGQUIT)
     }
-    started = time.monotonic()
     try:
         session.start()
         session.wait(pid)
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
-    wall = time.monotonic() - started
 
     # a child killed by signal N gives -N; use the shell's 128+N style
     returncode = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     exit_code = 128 - returncode if returncode < 0 else returncode
     try:
-        energy = session.stop()
+        summary = summarize(baseline, session.stop(), session.span_s, config)
     except ReadFailure as exc:
-        print(f"carbonrun: error: sampling stopped: {exc}", file=sys.stderr)
-        return exit_code, None
-    duration = source.span_s if trace_path else wall
-
-    try:
-        summary = summarize(baseline, energy, duration, config)
+        return _fail(f"sampling stopped: {exc}", exit_code), None
     except EmptyProcessSamples as exc:
-        print(f"carbonrun: error: {exc}", file=sys.stderr)
-        return exit_code, None
+        return _fail(str(exc), exit_code), None
 
     doc = build_report(
         summary,
@@ -165,8 +156,7 @@ def run_measured(
     except OSError as exc:
         if not options.out:
             raise  # a closed stream, which `main` handles
-        print(f"carbonrun: error: cannot write report: {exc}", file=sys.stderr)
-        return exit_code, None
+        return _fail(f"cannot write report: {exc}", exit_code), None
     return exit_code, doc
 
 

@@ -45,11 +45,11 @@ class EquivalencyFactors(Checked, _Factors):
 
     @classmethod
     def from_csv(cls, text: str) -> "EquivalencyFactors":
-        """Load factors from a `key,value,unit,source` table."""
+        """Load factors from a `key,value,unit,source` table; each key once."""
         values = {}
         reader = csv.DictReader(io.StringIO(text))
         try:
-            fieldnames, rows = reader.fieldnames, list(reader)
+            fieldnames, rows = reader.fieldnames, [(reader.line_num, row) for row in reader]
         except csv.Error as exc:
             # DictReader updates its own line_num only after a row is read
             raise EquivalencyError(f"line {reader.reader.line_num}: {exc}") from None
@@ -58,10 +58,12 @@ class EquivalencyFactors(Checked, _Factors):
             raise EquivalencyError(
                 f"equivalency table needs columns {sorted(expected)}"
             )
-        for row in rows:
+        for lineno, row in rows:
             key = (row["key"] or "").strip()
             if key not in cls._fields:
                 continue
+            if key in values:
+                raise EquivalencyError(f"line {lineno}: duplicate equivalency key {key!r}")
             try:
                 values[key] = float(row["value"])
             except (TypeError, ValueError):

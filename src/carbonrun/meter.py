@@ -320,22 +320,19 @@ class SamplingSession:
     last one's (a coarse clock) is skipped: its µJ land in the next pair.
     Under `gpu_enabled` the GPU is one more column, a virtual µJ counter
     that each read advances by the watts polled at the read before over the
-    pair's seconds.  A replay samples nothing: `stop()` returns the trace's
-    `Energy`.  A counter that turns unreadable (`ReadFailure`) ends the
-    loop, and `stop()` raises it.
-
-    GPU power is polled in wall-clock time, so it cannot price a replayed
-    trace: a virtual-time source with `gpu_enabled` raises ValueError.
+    pair's seconds.  `span_s`, the run's duration, is the `ColumnFold` span
+    of the reads, first to last.  A replay samples nothing and polls no GPU:
+    `stop()` returns the trace's `Energy`, and `span_s` is the trace's.  A
+    counter that turns unreadable (`ReadFailure`) ends the loop, and
+    `stop()` raises it.
     """
 
     def __init__(self, source, config: MeterConfig):
-        if source.virtual_time and config.gpu_enabled:
-            raise ValueError("GPU power is polled in wall-clock time; "
-                             "it cannot be added to a replayed trace")
         self._source = source
         self._config = config
         self._failure: ReadFailure | None = None
         self._energy = source.energy if source.virtual_time else Energy()
+        self.span_s = source.span_s if source.virtual_time else 0.0
         # the batch being read: timestamps, and µJ per domain, then the GPU's
         self._stamps, self._columns = [], []
         self._last_stamp = -math.inf
@@ -387,7 +384,8 @@ class SamplingSession:
         or until the child `pid` exits; the wake that reaches the end takes
         the last read.  A replay reads nothing."""
         if not self._source.virtual_time:
-            self._energy = ColumnFold(self._loop(seconds, pid)).energy
+            fold = ColumnFold(self._loop(seconds, pid))
+            self._energy, self.span_s = fold.energy, fold.span_s
 
     def _loop(self, seconds: float, pid: int | None) -> Iterator[tuple]:
         """The loop of `_sample`: yields each full batch it reads, then the rest."""
@@ -427,11 +425,11 @@ def collect_baseline(source, config: MeterConfig) -> Energy:
     """Integrate idle power for `baseline_duration_s` before the process
     starts, with the sampling loop of the run itself (`SamplingSession`).
 
-    Returns the idle `Energy`; a zero one when the duration is 0, which
-    reads no counter.  A counter that turns unreadable ends the wait early,
-    and its `ReadFailure` is raised.
+    Returns the idle `Energy`; a zero one, with no counter read, when the
+    duration is 0 or the source is a replay, which recorded no idle time.  A
+    counter that turns unreadable ends the wait early; its `ReadFailure` is raised.
     """
-    if config.baseline_duration_s == 0:
+    if config.baseline_duration_s == 0 or source.virtual_time:
         return Energy()
     session = SamplingSession(source, config)
     session.start()
@@ -450,13 +448,11 @@ def summarize(
     `EmptyProcessSamples`, worded for why.  Process power is total minus
     baseline power, clamped at zero (noise can push the difference negative
     for near-idle workloads; the clamp is flagged so the report can say so).
-    Energy is power times wall duration, so time no kept pair covers (a
-    pair dropped for a wrap) is bridged at the mean.  The wall-plug figure
-    divides by PSU efficiency since the counters sit downstream of the
-    power supply.
+    Energy is power times `duration_s`, the span of the run's reads, so
+    time no kept pair covers (a pair dropped for a wrap) is bridged at the
+    mean.  The wall-plug figure divides by PSU efficiency since the counters
+    sit downstream of the power supply.
     """
-    if duration_s <= 0:
-        raise ValueError(f"non-positive duration: {duration_s}")
     if process.dropped and not process.pairs:
         raise EmptyProcessSamples(
             f"every counter pair ({process.dropped}) was dropped: a counter fell "
@@ -467,6 +463,8 @@ def summarize(
             "process exited before one full sampling interval; "
             "nothing to report (try a smaller --sample-interval)"
         )
+    if duration_s <= 0:  # checked last: a run that kept no pair spans 0 s
+        raise ValueError(f"non-positive duration: {duration_s}")
     baseline_watts = baseline.watts
     total_watts = process.watts
     raw = total_watts - baseline_watts

@@ -3,7 +3,8 @@
 A trace is CSV text, one row `timestamp_s,domain_id,energy_uj,max_range_uj`
 per domain per instant.  Consecutive rows sharing a timestamp form one
 instant (a snapshot of every domain, in any order); every instant covers
-the domain set of the first one and timestamps strictly increase.  A first line whose
+the domain set of the first one, timestamps strictly increase, and the
+time from the first to the last is a finite float.  A first line whose
 first field starts with `timestamp` is a header, and blank or
 whitespace-only lines are skipped.  Lines end in LF, CRLF or a lone CR,
 fields may be quoted as `csv.reader` quotes them, and a line break inside
@@ -75,8 +76,8 @@ class TraceSource:
     instants are folded as soon as they are checked, by the `ColumnFold` a
     live session uses, which keeps only the last one, for the pair it forms
     with the next chunk's first.  The totals, `energy`, equal a fold of the
-    whole trace at once.  `span_s` is the time covered by the recording and
-    stands in for wall-clock duration.
+    whole trace at once.  `span_s` is the time covered by the recording: the
+    run's duration, as a live session's is the span of its reads.
     """
 
     virtual_time = True
@@ -224,6 +225,7 @@ class _Loader:
     def __init__(self) -> None:
         self.domains: list[str] = []  # of the first instant, in its row order
         self.instants = 0  # checked so far
+        self._first_stamp = 0.0  # of the first instant
         self._last_stamp = array("d")  # of the last instant checked
         self._pending = _no_rows()
         self._first_domains: set[str] = set()  # of the first instant, while it waits
@@ -254,6 +256,7 @@ class _Loader:
         if not self.domains:
             if not rows:
                 return None
+            self._first_stamp = stamps[0]
             # the first instant ends where the timestamp first changes; the
             # rows held so far share its timestamp, so only new rows are scanned
             width = next(compress(count(held), map(
@@ -290,6 +293,8 @@ class _Loader:
             self._raise_group_error(stamps, domains, numbers, rows if last else whole)
         if not whole:
             return None
+        if not math.isfinite(block_stamps[-1] - self._first_stamp):
+            self._raise_group_error(stamps, domains, numbers, whole)
         self.instants += whole // width
         self._last_stamp = block_stamps[-1:]
         return block_stamps, [energies[j::width] for j in range(width)]
@@ -297,8 +302,9 @@ class _Loader:
     def _raise_group_error(self, stamps: array, domains: list[str],
                            numbers: list[int], rows: int) -> None:
         """Raise the error a row-by-row reading meets first among the first
-        `rows` rows, which fail a block check; their last instant counts as
-        complete."""
+        `rows` rows, which fail a block check or reach an instant whose time
+        since the first is not finite (the span overflows a float); their
+        last instant counts as complete."""
         covered = set(self.domains) or None
         index = self.instants - 1  # the instant the rows continue
         group_ts = self._last_stamp[0] if self._last_stamp else None
@@ -309,6 +315,9 @@ class _Loader:
                     if ts < group_ts:
                         raise TraceError(f"line {number}: timestamps must not decrease")
                     covered = _check_cover(index, group, covered)
+                    if not math.isfinite(ts - self._first_stamp):
+                        raise TraceError(f"line {number}: the span from "
+                                         f"{self._first_stamp!r} to {ts!r} is not finite")
                 group_ts, group, index = ts, set(), index + 1
             if domain in group:
                 raise TraceError(f"line {number}: domain {domain} repeated at {ts}")

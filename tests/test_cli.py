@@ -344,6 +344,27 @@ class TestMeasurement:
             "total_watts": 14.999989717098886,
         }
 
+    def test_gpu_has_no_effect_on_a_replay(self, trace_file, tmp_path, monkeypatch):
+        # a trace records no GPU column, so `--gpu` changes neither the
+        # report nor the exit code, even with a GPU to poll
+        stub = tmp_path / "bin" / "nvidia-smi"
+        stub.parent.mkdir()
+        stub.write_text("#!/bin/sh\necho 50\n")
+        stub.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{stub.parent}{os.pathsep}{os.environ['PATH']}")
+        assert meter.read_gpu_power() == 50.0
+        monkeypatch.setattr(cli, "build_report", functools.partial(
+            cli.build_report, generated_at="2019-11-20T00:00:00Z"))
+
+        def run(*flags):
+            out = tmp_path / f"report{len(flags)}.json"
+            with pytest.raises(SystemExit) as exited:
+                cli.main(["run", "--trace", trace_file, "--offline", "--format", "json",
+                          "--out", str(out), *flags, "--", "sh", "-c", "exit 3"])
+            return exited.value.code, out.read_bytes()
+
+        assert run("--gpu") == run()
+
     def test_env_var_region(self, trace_file):
         proc = run_cli(
             "run", "--trace", trace_file, "--format", "json",
@@ -438,6 +459,23 @@ class TestMeasurement:
             signal.signal(signal.SIGINT, previous)
         assert code == 128 + signal.SIGINT
         assert time.monotonic() - started < 4.0
+
+    def test_a_live_run_that_keeps_no_pair_says_why(self, monkeypatch, capsys):
+        # a clock that never advances: every read after the first is
+        # skipped, so the run keeps no pair and spans 0 s
+        class Stopped:
+            virtual_time = False
+
+            def next_instant(self):
+                return 1.0, [0]
+
+        monkeypatch.setattr(cli, "PowercapSource", Stopped)
+        options = cli._parser("carbonrun").parse_args(
+            ["run", "--offline", "--no-baseline", "sh", "-c", "exit 3"])
+        assert cli.run_measured(options.command, options) == (3, None)
+        assert capsys.readouterr().err == (
+            "carbonrun: error: process exited before one full sampling interval; "
+            "nothing to report (try a smaller --sample-interval)\n")
 
     def test_terminate_forwarded_while_sampling_a_live_run(self, tmp_path):
         root, _ = make_package_tree(tmp_path)

@@ -70,6 +70,12 @@ class TestFactors:
         with pytest.raises(EquivalencyError, match=f"^line {line}: field larger than field limit"):
             EquivalencyFactors.from_csv("\n".join(lines))
 
+    def test_duplicate_key_names_its_line(self):
+        table = GOOD_TABLE + "kg_per_mile,99,kg CO2 per mile,test\n"
+        with pytest.raises(EquivalencyError) as err:
+            EquivalencyFactors.from_csv(table)
+        assert str(err.value) == "line 5: duplicate equivalency key 'kg_per_mile'"
+
     def test_missing_columns(self):
         with pytest.raises(EquivalencyError):
             EquivalencyFactors.from_csv("key,value\nkg_per_mile,0.404\n")

@@ -113,11 +113,13 @@ def random_walk(seed, instants, domains=2):
 
 
 def replay(instants):
-    """The `Energy` of `instants` written as a trace, with `repr`
-    timestamps, and replayed."""
+    """A session that replays `instants` written as a trace, with `repr`
+    timestamps, as `cli.run_measured` runs it."""
     rows = [f"{stamp!r},pkg-{d},{uj},{2**62}"
             for stamp, counters in instants for d, uj in enumerate(counters)]
-    return TraceSource.from_csv("\n".join(rows)).energy
+    session = meter.SamplingSession(TraceSource.from_csv("\n".join(rows)), MeterConfig())
+    session.start()
+    return session
 
 
 class TestPowerFromReadings:
@@ -168,11 +170,16 @@ class TestLiveFold:
     @pytest.mark.parametrize("seed", range(8))
     def test_a_live_run_replays_to_the_same_energy(self, seed):
         instants = random_walk(seed, 40)
-        live = run_script(Script(instants)).stop()
-        replayed = replay(instants)
+        config = MeterConfig(sample_interval_s=0.01)
+        live_session, replay_session = run_script(Script(instants), config), replay(instants)
+        live, replayed = live_session.stop(), replay_session.stop()
         assert live.dropped > 0
         assert live == replayed
         assert list(map(type, live)) == list(map(type, replayed)) == [float, float, int, int]
+        # the duration too: the span of the reads, first to last
+        assert live_session.span_s == replay_session.span_s == instants[-1][0] - instants[0][0]
+        assert (summarize(Energy(), live, live_session.span_s, config)
+                == summarize(Energy(), replayed, replay_session.span_s, config))
 
     def test_a_session_holds_at_most_one_batch(self, monkeypatch):
         monkeypatch.setattr(meter, "BATCH_INSTANTS", 4)
@@ -193,7 +200,7 @@ class TestLiveFold:
 
         monkeypatch.setattr(meter, "ColumnFold", Fold)
         instants = random_walk(7, 30)
-        assert run_script(Held(instants)).stop() == replay(instants)
+        assert run_script(Held(instants)).stop() == replay(instants).stop()
         assert folds[0]._last[0] == [instants[-1][0]]
 
     def test_a_read_that_repeats_its_timestamp_is_skipped(self):
@@ -486,6 +493,11 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize(Energy(), steady(1.0), 0.0, MeterConfig())
 
+    def test_no_kept_pair_is_reported_before_a_zero_duration(self):
+        # a live run that keeps no pair spans 0 s
+        with pytest.raises(EmptyProcessSamples, match="before one full sampling interval"):
+            summarize(Energy(), Energy(), 0.0, MeterConfig())
+
     def test_psu_identity_at_full_efficiency(self):
         summary = summarize(
             Energy(), steady(8.0), 100.0, MeterConfig(psu_efficiency=1.0)
@@ -573,11 +585,6 @@ class TestSamplingSession:
     def test_fold_rejects_time_that_does_not_increase(self):
         with pytest.raises(ValueError, match="increasing time order"):
             fold_columns([1.0, 1.0], [[0, 10]])
-
-    def test_gpu_polling_on_a_replayed_trace_is_rejected(self):
-        source = TraceSource.from_csv(constant_trace(10.0, 3))
-        with pytest.raises(ValueError, match="wall-clock"):
-            meter.SamplingSession(source, MeterConfig(gpu_enabled=True))
 
     @given(
         domains=st.integers(min_value=1, max_value=3),
@@ -875,6 +882,10 @@ class TestBaseline:
         assert baseline.pairs >= 1
         assert baseline.watts == 0.0
         assert 0.2 <= baseline.seconds < 0.4
+
+    def test_a_replay_has_no_baseline(self):
+        source = TraceSource.from_csv(constant_trace(10.0, 3))
+        assert meter.collect_baseline(source, MeterConfig(baseline_duration_s=5.0)) == Energy()
 
     def test_zero_duration_reads_nothing(self):
         class Unread:

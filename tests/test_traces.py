@@ -63,6 +63,7 @@ MALFORMED_TRACES = [
     "0,pkg-0,0,100\ninf,pkg-0,5,100\n",  # infinite timestamp
     "0,pkg-0,-5,100\n1,pkg-0,5,100\n",  # negative counter
     *BEYOND_64_BITS,
+    "-1e308,pkg-0,0,100\n1e308,pkg-0,5000000,100\n",  # a span beyond a float
 ]
 
 # the bytes of a file that is not UTF-8 text
@@ -73,6 +74,16 @@ NON_UTF8_TRACE = b"0,pkg-0,0,100\n1,pkg-\xff0,5,100\n"
 def test_malformed_traces_rejected(text):
     with pytest.raises(TraceError):
         parse_trace(text)
+
+
+def test_a_span_beyond_a_float_fails_on_the_line_that_reaches_it():
+    # each timestamp is finite, but the time between them is not
+    text = "-1e308,pkg-0,0,100\n0,pkg-0,1,100\n1e308,pkg-0,5000000,100\n"
+    message = r"^line 3: the span from -1e\+308 to 1e\+308 is not finite$"
+    with pytest.raises(TraceError, match=message):
+        TraceSource.from_csv(text)
+    with pytest.raises(TraceError, match=message):
+        reference_parse(text)
 
 
 @pytest.mark.parametrize("text", BEYOND_64_BITS)
@@ -172,7 +183,14 @@ def test_a_first_instant_longer_than_many_chunks(monkeypatch):
 # generated traces: their domains, and the defects of MALFORMED_TRACES plus a dropped row
 DOMAINS = ("pkg-0", "pkg-1", "dram")
 DEFECTS = ("fields", "number", "decrease", "single", "repeat", "domain", "drop",
-           "nan", "inf", "negative", "beyond_64_bits")
+           "nan", "inf", "negative", "beyond_64_bits", "span")
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
 
 
 def _apply(defect, rows, at):
@@ -197,6 +215,10 @@ def _apply(defect, rows, at):
         row[0] = defect if at % 2 else f"-{defect}"
     elif defect == "negative":
         row[2] = "-5"
+    elif defect == "span":  # the first instant and the last 2e308 s apart
+        ends = {_number(rows[0][0]): "-1e308", _number(rows[-1][0]): "1e308"}
+        for r in rows:
+            r[0] = ends.get(_number(r[0]), r[0])
     else:
         row[2 + at % 2] = str(2**63 + at)
 

@@ -53,10 +53,15 @@ def _instants(rows):
         if not (0 <= energy < 2**63 and 0 < max_range < 2**63):
             raise TraceError(f"line {lineno}: counter values out of range")
         if ts != group_ts:
-            if group_ts is not None:
+            if group_ts is None:
+                first_ts = ts
+            else:
                 if ts < group_ts:
                     raise TraceError(f"line {lineno}: timestamps must not decrease")
                 yield group_ts, group
+                if not math.isfinite(ts - first_ts):
+                    raise TraceError(
+                        f"line {lineno}: the span from {first_ts!r} to {ts!r} is not finite")
             group = {}
             group_ts = ts
         if domain in group:
