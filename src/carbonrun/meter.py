@@ -69,7 +69,8 @@ class ReadFailure(Exception):
 
 
 class EmptyProcessSamples(Exception):
-    """No counter pair of the measured process was kept."""
+    """No counter pair of the measured process was kept, or the kept pairs
+    give no finite figure."""
 
 
 class Energy(NamedTuple):
@@ -351,6 +352,11 @@ class SamplingSession:
         self._sample(pid=pid)
         os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
 
+    def sample_for(self, seconds: float) -> None:
+        """Sample until `seconds` after `start()`; the wake that reaches the
+        end takes the last read.  A replay reads nothing."""
+        self._sample(seconds)
+
     def stop(self) -> Energy:
         """What the counters recorded, or the `ReadFailure` that ended
         sampling early, raised."""
@@ -381,8 +387,7 @@ class SamplingSession:
 
     def _sample(self, seconds: float = math.inf, pid: int | None = None) -> None:
         """Read an instant at each deadline until `seconds` after `start()`,
-        or until the child `pid` exits; the wake that reaches the end takes
-        the last read.  A replay reads nothing."""
+        or until the child `pid` exits."""
         if not self._source.virtual_time:
             fold = ColumnFold(self._loop(seconds, pid))
             self._energy, self.span_s = fold.energy, fold.span_s
@@ -433,7 +438,7 @@ def collect_baseline(source, config: MeterConfig) -> Energy:
         return Energy()
     session = SamplingSession(source, config)
     session.start()
-    session._sample(config.baseline_duration_s)
+    session.sample_for(config.baseline_duration_s)
     return session.stop()
 
 
@@ -451,7 +456,8 @@ def summarize(
     Energy is power times `duration_s`, the span of the run's reads, so
     time no kept pair covers (a pair dropped for a wrap) is bridged at the
     mean.  The wall-plug figure divides by PSU efficiency since the counters
-    sit downstream of the power supply.
+    sit downstream of the power supply.  A power or an energy that is not a
+    finite float raises `EmptyProcessSamples`: no report could give it.
     """
     if process.dropped and not process.pairs:
         raise EmptyProcessSamples(
@@ -470,13 +476,19 @@ def summarize(
     raw = total_watts - baseline_watts
     process_watts = max(raw, 0.0)
     measured_kwh = process_watts * duration_s * KWH_PER_J
+    adjusted_kwh = measured_kwh / config.psu_efficiency
+    if not all(map(math.isfinite, (baseline_watts, total_watts, measured_kwh, adjusted_kwh))):
+        raise EmptyProcessSamples(
+            f"the counters give {total_watts!r} W over {duration_s!r} s against "
+            f"{baseline_watts!r} W idle, not a finite energy; nothing to report"
+        )
     return MeasurementSummary(
         baseline_watts=baseline_watts,
         total_watts=total_watts,
         process_watts=process_watts,
         duration_s=duration_s,
         measured_kwh=measured_kwh,
-        adjusted_kwh=measured_kwh / config.psu_efficiency,
+        adjusted_kwh=adjusted_kwh,
         psu_efficiency=config.psu_efficiency,
         negative_clamped=raw < 0,
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 from datetime import datetime, timezone
-from typing import NamedTuple, get_args, get_origin, get_type_hints
+from typing import NamedTuple, NoReturn, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .charts import bar_panel, escape, pie_chart
@@ -253,8 +253,9 @@ def _encode(value: tuple) -> object:
 
 
 def render_json(doc: ReportDocument) -> bytes:
-    """Machine-readable rendering: full precision, stable key order."""
-    payload = json.dumps(_encode(doc), sort_keys=True, indent=2)
+    """Machine-readable rendering: full precision, stable key order.  A
+    number JSON cannot hold (NaN, an infinity) raises ValueError."""
+    payload = json.dumps(_encode(doc), sort_keys=True, indent=2, allow_nan=False)
     return (payload + "\n").encode("utf-8")
 
 
@@ -294,10 +295,14 @@ def _decode(cls, data):
     return cls(**{k: _decode(hints[k], v) for k, v in data.items()})
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def parse_report_json(data: bytes | str) -> ReportDocument:
     """Read a rendered JSON report back; raises ValueError on any unknown or
-    missing key and on a value of the wrong type."""
-    return _decode(ReportDocument, json.loads(data))
+    missing key, on a value of the wrong type and on `NaN` or `Infinity`."""
+    return _decode(ReportDocument, json.loads(data, parse_constant=_reject_constant))
 
 
 _CSS = (

@@ -18,7 +18,7 @@ from carbonrun import cli, emissions, griddata, meter, report, traces
 
 from conftest import constant_trace, short_tail_trace
 from test_meter import make_package_tree
-from test_traces import MALFORMED_TRACES, NON_UTF8_TRACE
+from test_traces import MALFORMED_TRACES, NON_FINITE_ENERGY_TRACES, NON_UTF8_TRACE
 
 CLI = [sys.executable, "-m", "carbonrun"]
 # `cli.main` as a program of its own, ending in a full interpreter shutdown
@@ -172,6 +172,18 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("carbonrun: error: ")
         assert "Traceback" not in proc.stderr
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "html"])
+    @pytest.mark.parametrize("text,message", NON_FINITE_ENERGY_TRACES)
+    def test_a_trace_beyond_a_float_exits_2_before_child(self, tmp_path, fmt, text, message):
+        trace = tmp_path / "huge.csv"
+        trace.write_text(text)
+        marker = tmp_path / "child-ran"
+        proc = run_cli("run", "--trace", str(trace), "--offline", "--format", fmt,
+                       "--", "touch", str(marker))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"carbonrun: error: {message}\n"
         assert not marker.exists()
 
     @pytest.mark.parametrize("flag,name", [

@@ -489,6 +489,16 @@ class TestSummarize:
             "every counter pair (3) was dropped: a counter fell between reads "
             "(wrap or reset); nothing to report")
 
+    @pytest.mark.parametrize("baseline,process,efficiency", [
+        (Energy(), Energy(9e12, 1e-300, 1), 0.8),  # the power overflows
+        (Energy(), steady(1e308), 0.8),  # power times duration overflows
+        (Energy(9e12, 1e-300, 1), steady(5.0), 0.8),  # the idle power overflows
+        (Energy(), steady(5.0), 1e-320),  # the wall-plug energy overflows
+    ])
+    def test_a_figure_that_is_not_finite_is_refused(self, baseline, process, efficiency):
+        with pytest.raises(EmptyProcessSamples, match="not a finite energy; nothing to report$"):
+            summarize(baseline, process, 10.0, MeterConfig(psu_efficiency=efficiency))
+
     def test_non_positive_duration(self):
         with pytest.raises(ValueError):
             summarize(Energy(), steady(1.0), 0.0, MeterConfig())

@@ -200,6 +200,20 @@ class TestJsonRendering:
         with pytest.raises(ValueError, match="expected"):
             parse_report_json(json.dumps(payload))
 
+    def test_render_refuses_a_number_json_cannot_hold(self, doc):
+        huge = doc._replace(summary=doc.summary._replace(kg_co2=float("inf")))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render_json(huge)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_parse_rejects_a_number_json_cannot_hold(self, constant):
+        payload = (GOLDEN_DIR / "report.json").read_text()
+        kg_co2 = json.loads(payload)["summary"]["kg_co2"]
+        tampered = payload.replace(f'"kg_co2": {kg_co2!r}', f'"kg_co2": {constant}', 1)
+        assert tampered != payload
+        with pytest.raises(ValueError, match=f"^{constant} is not a JSON number$"):
+            parse_report_json(tampered)
+
     def test_parse_takes_an_int_for_a_float(self, doc):
         payload = json.loads(render_json(doc))
         payload["summary"]["kg_co2"] = 3

@@ -1,5 +1,6 @@
 import codecs
 import csv
+import io
 import os
 import random
 import tempfile
@@ -66,6 +67,15 @@ MALFORMED_TRACES = [
     "-1e308,pkg-0,0,100\n1e308,pkg-0,5000000,100\n",  # a span beyond a float
 ]
 
+# a power, then a power times the span, beyond a float: 9e12 J over
+# 1e-300 s; and 9e12 J over 1e-290 s, then a pair 1e10 s long that is dropped
+NON_FINITE_ENERGY_TRACES = [
+    ("0,pkg-0,0,100\n1e-300,pkg-0,9000000000000000000,100\n",
+     "the trace's power, 9000000000000.0 J over 1e-300 s, is not finite"),
+    ("0,pkg-0,0,100\n1e-290,pkg-0,9000000000000000000,100\n1e10,pkg-0,0,100\n",
+     "the trace's energy, 8.999999999999999e+302 W over 10000000000.0 s, is not finite"),
+]
+
 # the bytes of a file that is not UTF-8 text
 NON_UTF8_TRACE = b"0,pkg-0,0,100\n1,pkg-\xff0,5,100\n"
 
@@ -84,6 +94,14 @@ def test_a_span_beyond_a_float_fails_on_the_line_that_reaches_it():
         TraceSource.from_csv(text)
     with pytest.raises(TraceError, match=message):
         reference_parse(text)
+
+
+@pytest.mark.parametrize("text,message", NON_FINITE_ENERGY_TRACES)
+def test_a_power_or_an_energy_beyond_a_float_is_rejected(text, message):
+    for replay in (TraceSource.from_csv, reference_totals):
+        with pytest.raises(TraceError) as err:
+            replay(text)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("text", BEYOND_64_BITS)
@@ -140,15 +158,16 @@ def test_lone_carriage_returns_end_lines():
 
 
 def _batch_sizes(monkeypatch):
-    """Record the number of rows in each batch the loader converts."""
+    """Record the number of rows in each batch the loader reads."""
     sizes = []
-    convert = traces._convert
+    batches = traces._batches
 
-    def recording(fields, numbers):
-        sizes.append(len(numbers))
-        return convert(fields, numbers)
+    def recording(fh):
+        for fields, numbers in batches(fh):
+            sizes.append(len(numbers))
+            yield fields, numbers
 
-    monkeypatch.setattr(traces, "_convert", recording)
+    monkeypatch.setattr(traces, "_batches", recording)
     return sizes
 
 
@@ -304,6 +323,55 @@ def test_columnar_loader_agrees_with_row_by_row_reference(case, chunk_chars):
                 assert got == expected
             else:
                 assert isinstance(got, str), got
+
+
+def _border_rows():
+    """The rows (lists of field texts) of a 3000-instant three-domain trace,
+    and the index of the line a default-size chunk border cuts: the last of
+    the second chunk, finished by a read on to its line break."""
+    rows = [[f"{t / 100}", domain, str(10**9 * (d + 1) + 4321 * t * (d + 1)), str(10**12)]
+            for t in range(1000, 1000 + 7 * 3000, 7) for d, domain in enumerate(DOMAINS)]
+    text = "".join(",".join(row) + "\n" for row in rows)
+    chunks = traces._chunks(io.StringIO(text))
+    return rows, sum(next(chunks).count("\n") for _ in range(2)) - 1
+
+
+def _irregular(kind, rows, at):
+    """Give `rows` one irregularity that a valid trace may hold, at row `at`."""
+    row = rows[at]
+    if kind == "padded_domain":
+        row[1] = f" {row[1]}\t"
+    elif kind == "reordered_instant":
+        first = at - at % len(DOMAINS)
+        rows[first:first + len(DOMAINS)] = rows[first:first + len(DOMAINS)][::-1]
+    elif kind == "timestamp_spelling":  # the same float, written another way
+        row[0] = f"{round(float(row[0]) * 100)}e-2"
+    elif kind == "quoted_field":
+        row[2] = f'"{row[2]}"'
+    else:  # a blank line
+        rows.insert(at, [])
+
+
+IRREGULARITIES = ("padded_domain", "reordered_instant", "timestamp_spelling", "quoted_field",
+                  "blank_line")
+
+
+@pytest.mark.parametrize("kind", IRREGULARITIES + DEFECTS)
+def test_an_irregularity_at_a_chunk_border_reads_as_row_by_row(kind):
+    # at the default chunk size, a batch near the border is read on its text
+    # or row by row; either way it must read as the reference does
+    clean, cut = _border_rows()
+    for at in (cut - 1, cut, cut + 1):
+        rows = [list(row) for row in clean]
+        if kind in DEFECTS:
+            _apply(kind, rows, at)
+        else:
+            _irregular(kind, rows, at)
+        text = "".join(",".join(row) + "\n" for row in rows)
+        expected = _outcome(reference_totals, text)
+        assert isinstance(expected, str) == (kind in DEFECTS), expected
+        assert _outcome(_replay_csv, text) == expected
+        assert _outcome(parse_trace, text) == _outcome(reference_parse, text)
 
 
 def _jittered_trace(instants, seed):

@@ -96,11 +96,20 @@ def _load(groups):
 
 def reference_totals(text):
     """Joules, seconds, kept pairs, dropped pairs and span of the trace in
-    `text`, folded whole; or TraceError."""
+    `text`, folded whole; or TraceError, also for a power or an energy that
+    is not finite."""
     instants = reference_parse(text)
     timestamps = [next(iter(instant.values())).timestamp for instant in instants]
     energies = [[instant[d].energy_uj for instant in instants] for d in instants[0]]
-    return (*fold_columns(timestamps, energies), timestamps[-1] - timestamps[0])
+    energy = fold_columns(timestamps, energies)
+    span_s = timestamps[-1] - timestamps[0]
+    if not math.isfinite(energy.watts):
+        raise TraceError(
+            f"the trace's power, {energy.joules!r} J over {energy.seconds!r} s, is not finite")
+    if not math.isfinite(energy.watts * span_s):
+        raise TraceError(
+            f"the trace's energy, {energy.watts!r} W over {span_s!r} s, is not finite")
+    return (*energy, span_s)
 
 
 def _pairs(column, start):
