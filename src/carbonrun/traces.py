@@ -22,20 +22,19 @@ fast: that is nearly every chunk of a recorded trace.
 Conversion is per instant.  The rows of an instant cut by a chunk border
 are carried, as text, to the next chunk's batch, so a batch holds whole
 instants.  The first instant, which fixes the domains, is found on
-converted values.  After it, a batch in which every instant lists the
-first instant's domain texts in the same order and repeats its first
-row's timestamp text, as a recorded trace's instants do, is checked on the
-text: it converts one `float` per instant, one `int` column per domain
-(stride slices of the field list) and each distinct range text once, and
-strips no domain.  Any other batch (domains in another order, a padded
-field, one timestamp spelled two ways) converts every row, `float`,
-`int` and `str.strip` each mapped over a whole column, and its instants
-are checked on the values.  Either way each value is checked where it is
-converted: a finite timestamp, a counter in [0, 2^63 - 1] and a range in
-[1, 2^63 - 1].  Only when a check fails is the offending row located, by
-a row-by-row reading, to name its line, so the error does not depend on
-which way a batch went.  No range goes further: a replay folds timestamps
-and counters alone.
+converted timestamps.  Every batch then takes one path.  If its instants
+list the domains in another order than the first instant, each instant's
+counters are first put in the first instant's domain order, as text.  It
+then converts one `float` per instant, or every timestamp when some
+instant spells its timestamp two ways (`0.5` beside `50e-2`), one `int`
+column per domain (stride slices of the field list) and each distinct
+range text once, and checks them: time strictly increases, the span from
+the first instant is a finite float, counters are in [0, 2^63 - 1] and
+ranges in [1, 2^63 - 1].  No range goes further: a replay folds timestamps
+and counters alone.  Only when a check fails are the batch's rows read
+again, one at a time in line order, each row's values checked and then its
+place in its instant, so the error names the first defect by line, as a
+row-by-row parser would.
 
 A replay (`TraceSource`) folds each batch's instants (`meter.ColumnFold`)
 as soon as they are checked, carrying only the last one over to pair it
@@ -181,43 +180,9 @@ def _csv_fields(chunk: str, fh: TextIO, first: int) -> tuple[list[str], list[int
     return fields, numbers, number - first + 1
 
 
-def _convert(fields: list[str], numbers: list[int]) -> tuple[array, list[str], list[int]]:
-    """The timestamps, stripped domains and counter values of each row,
-    each column converted in one pass, and every row's values checked.  A
-    trace repeats each domain's range, so each distinct range text converts
-    once, to be checked, and goes no further."""
-    try:
-        stamps = array("d", map(float, fields[0::4]))
-        energies = list(map(int, fields[2::4]))
-        ranges = list(map(int, set(fields[3::4])))
-    except ValueError:
-        valid = False
-    else:
-        valid = (all(map(math.isfinite, stamps)) and _in_range(energies, 0)
-                 and _in_range(ranges, 1))
-    if not valid:
-        _raise_row_error(fields, numbers)
-    return stamps, list(map(str.strip, fields[1::4])), energies
-
-
 def _in_range(values: list[int], least: int) -> bool:
     """Whether every value is from `least` to `_INT64_MAX`."""
     return least <= min(values, default=least) and max(values, default=least) <= _INT64_MAX
-
-
-def _raise_row_error(fields: list[str], numbers: list[int]) -> None:
-    """Raise for the first row whose values do not convert or are out of range."""
-    for i, number in enumerate(numbers):
-        stamp, _, energy, max_range = fields[4 * i:4 * i + 4]
-        try:
-            ts, e, r = float(stamp), int(energy), int(max_range)
-        except ValueError as exc:
-            raise TraceError(f"line {number}: {exc}") from None
-        if not math.isfinite(ts):
-            raise TraceError(f"line {number}: timestamp {stamp.strip()} is not finite")
-        if not (0 <= e <= _INT64_MAX and 0 < r <= _INT64_MAX):
-            raise TraceError(f"line {number}: counter values out of range")
-    raise AssertionError("a column check failed but no row fails it")
 
 
 class _Loader:
@@ -226,12 +191,10 @@ class _Loader:
 
     Valid rows form blocks of D rows, D being the size of the first instant:
     each block shares one timestamp, block timestamps strictly increase, and
-    each block lists the first instant's domains, in any order.  A batch in
-    which every block spells the first instant's domains in its row order
-    and repeats its first row's timestamp text is checked on the text and
-    converted once per instant and once per domain column; any other batch
-    is converted row by row and checked on the values.  The rows after a
-    batch's last whole block wait, as text, for the next batch.
+    each block lists the first instant's domains, in any order.  One method,
+    `_whole_instants`, converts and checks every batch's whole blocks; the
+    rows after them wait, as text, for the next batch.  Every error is
+    named by one row-by-row reading, `_raise_first_error`.
     """
 
     def __init__(self) -> None:
@@ -263,23 +226,26 @@ class _Loader:
         ends here."""
         held_fields, held_numbers = self._held
         held = len(held_numbers)
-        if held:
+        if held > len(numbers):  # a wide instant: append, not copy its rows again
+            held_fields += fields
+            held_numbers += numbers
+            fields, numbers = held_fields, held_numbers
+        else:  # a short tail: prepend, not copy the batch
             fields[:0] = held_fields
-            numbers = held_numbers + numbers
+            numbers[:0] = held_numbers
         if not self.domains and not self._first_instant(fields, numbers, held, last):
             self._held = fields, numbers
             return None
         rows = len(numbers)
         whole = rows - rows % len(self.domains)  # the rows of whole blocks
         if whole < rows and last:  # the trace ends inside an instant
-            self._raise_group_error(fields, numbers, rows)
-        self._held = fields[4 * whole:], numbers[whole:]
+            self._raise_first_error(fields, numbers)
         if not whole:
+            self._held = fields, numbers
             return None
-        instants = self._by_text(fields, whole) or self._by_row(fields, numbers, whole)
+        self._held = fields[4 * whole:], numbers[whole:]
+        instants = self._whole_instants(fields, numbers, whole)
         stamps = instants[0]
-        if not math.isfinite(stamps[-1] - self._first_stamp):
-            self._raise_group_error(fields, numbers, whole)
         self.instants += len(stamps)
         self._last_stamp = stamps[-1:]
         return instants
@@ -287,10 +253,16 @@ class _Loader:
     def _first_instant(self, fields: list[str], numbers: list[int],
                        held: int, last: bool) -> bool:
         """Find the first instant in a batch whose first `held` rows are
-        its own so far; False while it has not ended.  Only the new rows
-        are converted, and checked."""
-        stamps, domains, _ = _convert(fields[4 * held:], numbers[held:])
+        its own so far; False while it has not ended.  Only the new rows'
+        timestamps are converted, and checked."""
         rows = len(numbers)
+        try:
+            stamps = array("d", map(float, fields[4 * held::4]))
+            valid = all(map(math.isfinite, stamps))
+        except ValueError:
+            valid = False
+        if not valid:
+            self._raise_first_error(fields, numbers)
         if not rows:
             return False
         if not held:
@@ -298,88 +270,93 @@ class _Loader:
         # the first instant ends where the timestamp first changes
         width = next(compress(count(held), map(ne, stamps, repeat(self._first_stamp))), None)
         if width is None and not last:
-            self._first_domains.update(domains)
+            self._first_domains.update(map(str.strip, fields[4 * held + 1::4]))
             if len(self._first_domains) < rows:  # a domain repeated
-                self._raise_group_error(fields, numbers, rows)
+                self._raise_first_error(fields, numbers)
             return False
         width = width or rows
         spelled = fields[1:4 * width:4]
         domains = list(map(str.strip, spelled))
         if len(set(domains)) < width:
-            self._raise_group_error(fields, numbers, width)
+            self._raise_first_error(fields, numbers)
         self.domains, self._spelled = domains, spelled
         return True
 
-    def _by_text(self, fields: list[str], whole: int) -> _Instants | None:
-        """The instants of the first `whole` rows, if each spells the first
-        instant's domains in their order and repeats its first row's
-        timestamp text, and their values check; else None.  One timestamp
-        converts per instant and one counter column per domain."""
-        end, stride = 4 * whole, 4 * len(self.domains)
-        stamp_texts = fields[0:end:stride]
-        if fields[1:end:4] != self._spelled * len(stamp_texts) or any(
-                fields[j:end:stride] != stamp_texts for j in range(4, stride, 4)):
-            return None
+    def _whole_instants(self, fields: list[str], numbers: list[int], whole: int) -> _Instants:
+        """The instants of the first `whole` rows, converted and checked.
+        Where rows list the domains in another order than the first
+        instant, their counters are first put in its domain order; then one
+        timestamp converts per instant, unless an instant spells it two
+        ways, and one counter column per domain."""
+        width = len(self.domains)
+        end, stride, blocks = 4 * whole, 4 * width, whole // width
+        rows = fields
+        if fields[1:end:4] != self._spelled * blocks:  # other domain texts
+            domains = list(map(str.strip, fields[1:end:4]))
+            if domains != self.domains * blocks:  # in another order
+                order = _block_order(domains, self.domains)
+                if order is None:
+                    self._raise_first_error(fields, numbers)
+                # only the counters need the order: a block's stamps must be equal
+                rows = fields[:end]
+                rows[2:end:4] = map(fields[2:end:4].__getitem__, order)
+        stamp_texts = rows[0:end:stride]
         try:
             stamps = array("d", map(float, stamp_texts))
-            columns = [list(map(int, fields[j:end:stride])) for j in range(2, stride, 4)]
-            ranges = list(map(int, set(fields[3:end:4])))
+            # where an instant spells its timestamp two ways, every stamp converts
+            valid = all(rows[j:end:stride] == stamp_texts for j in range(4, stride, 4)) or all(
+                array("d", map(float, rows[j:end:stride])) == stamps for j in range(4, stride, 4))
+            columns = [list(map(int, rows[j:end:stride])) for j in range(2, stride, 4)]
+            ranges = list(map(int, set(rows[3:end:4])))
         except ValueError:
-            return None
-        # time strictly increases from a finite stamp, the last instant's or
-        # the first instant's (checked when it was found), so every stamp is
-        # finite if the last one is
-        since_last = self._last_stamp + stamps
-        if (all(map(lt, since_last, islice(since_last, 1, None))) and math.isfinite(stamps[-1])
-                and all(_in_range(column, 0) for column in columns) and _in_range(ranges, 1)):
-            return stamps, columns
-        return None
-
-    def _by_row(self, fields: list[str], numbers: list[int], whole: int) -> _Instants:
-        """The instants of the first `whole` rows, converted row by row and
-        checked on the values: the domains may come in any order."""
-        stamps, domains, energies = _convert(fields[:4 * whole], numbers[:whole])
-        width = len(self.domains)
-        block_stamps = stamps[::width]
-        since_last = self._last_stamp + block_stamps
-        valid = (all(stamps[j::width] == block_stamps for j in range(1, width))
-                 and all(map(lt, since_last, islice(since_last, 1, None))))
-        if valid and not all(domains[j::width].count(d) == len(block_stamps)
-                             for j, d in enumerate(self.domains)):
-            order = _block_order(domains, self.domains)  # domains in another order
-            valid = order is not None
-            if valid:
-                energies = list(map(energies.__getitem__, order))
+            valid = False
+        else:
+            # time strictly increases from the first instant's stamp, which
+            # is finite, so every stamp is finite if the span to the last is
+            since_last = self._last_stamp + stamps
+            valid = (valid and all(map(lt, since_last, islice(since_last, 1, None)))
+                     and math.isfinite(stamps[-1] - self._first_stamp)
+                     and all(_in_range(column, 0) for column in columns) and _in_range(ranges, 1))
         if not valid:
-            self._raise_group_error(fields, numbers, whole)
-        return block_stamps, [energies[j::width] for j in range(width)]
+            self._raise_first_error(fields, numbers)
+        return stamps, columns
 
-    def _raise_group_error(self, fields: list[str], numbers: list[int], rows: int) -> NoReturn:
-        """Raise the error a row-by-row reading meets first among the first
-        `rows` rows, which fail a block check or reach an instant whose time
-        since the first is not finite (the span overflows a float); their
-        last instant counts as complete.  A value that does not check is
-        named first."""
-        stamps, domains, _ = _convert(fields[:4 * rows], numbers[:rows])
+    def _raise_first_error(self, fields: list[str], numbers: list[int]) -> NoReturn:
+        """Raise the error a row-by-row reading meets first in a batch of
+        rows that fails a check: each row's values, then its place in its
+        instant.  The batch's last instant counts as complete."""
         covered = set(self.domains) or None
         index = self.instants - 1  # the instant the rows continue
+        first_ts = self._first_stamp
         group_ts = self._last_stamp[0] if self._last_stamp else None
-        group = set(covered or ())
-        for ts, domain, number in zip(stamps, domains, numbers):
+        group = set(self.domains)
+        for i, number in enumerate(numbers):
+            stamp, domain, energy, max_range = fields[4 * i:4 * i + 4]
+            try:
+                ts, e, r = float(stamp), int(energy), int(max_range)
+            except ValueError as exc:
+                raise TraceError(f"line {number}: {exc}") from None
+            if not math.isfinite(ts):
+                raise TraceError(f"line {number}: timestamp {stamp.strip()} is not finite")
+            if not (0 <= e <= _INT64_MAX and 0 < r <= _INT64_MAX):
+                raise TraceError(f"line {number}: counter values out of range")
             if ts != group_ts:
-                if group_ts is not None:
+                if group_ts is None:  # the rows begin the trace
+                    first_ts = ts
+                else:
                     if ts < group_ts:
                         raise TraceError(f"line {number}: timestamps must not decrease")
                     covered = _check_cover(index, group, covered)
-                    if not math.isfinite(ts - self._first_stamp):
+                    if not math.isfinite(ts - first_ts):
                         raise TraceError(f"line {number}: the span from "
-                                         f"{self._first_stamp!r} to {ts!r} is not finite")
+                                         f"{first_ts!r} to {ts!r} is not finite")
                 group_ts, group, index = ts, set(), index + 1
+            domain = domain.strip()
             if domain in group:
                 raise TraceError(f"line {number}: domain {domain} repeated at {ts}")
             group.add(domain)
         _check_cover(index, group, covered)
-        raise AssertionError("a block check failed but no row-by-row check does")
+        raise AssertionError("a check failed but no row-by-row check does")
 
 
 def _check_cover(index: int, group: set[str], covered: set[str] | None) -> set[str]:

@@ -110,6 +110,23 @@ def test_values_beyond_64_bits_fail_on_their_line(text):
         parse_trace(text)
 
 
+# two defects in one batch, the later one a value that does not convert
+TWO_DEFECT_TRACES = [
+    ("0,a,1,10\n0,a,2,10\n0,b,x,10\n1,a,3,10\n1,b,4,10\n",
+     "line 2: domain a repeated at 0.0"),
+    ("0,a,1,10\n0,b,2,10\n1,a,3,10\n1,a,4,10\n1,b,x,10\n2,a,3,10\n2,b,4,10\n",
+     "line 4: domain a repeated at 1.0"),
+]
+
+
+@pytest.mark.parametrize("text,message", TWO_DEFECT_TRACES)
+def test_two_defects_in_one_batch_name_the_first_line(text, message):
+    for parse in (TraceSource.from_csv, parse_trace, reference_parse):
+        with pytest.raises(TraceError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize("header", ["timestamp_s,domain_id,energy_uj,max_range_uj\n", ""])
 def test_a_byte_order_mark_is_dropped(tmp_path, header):
     # as a spreadsheet's "CSV UTF-8" saves a trace
@@ -346,14 +363,17 @@ def _irregular(kind, rows, at):
         rows[first:first + len(DOMAINS)] = rows[first:first + len(DOMAINS)][::-1]
     elif kind == "timestamp_spelling":  # the same float, written another way
         row[0] = f"{round(float(row[0]) * 100)}e-2"
+    elif kind == "reordered_respelled":  # a reordered instant with a stamp respelled
+        _irregular("reordered_instant", rows, at)
+        _irregular("timestamp_spelling", rows, at)
     elif kind == "quoted_field":
         row[2] = f'"{row[2]}"'
     else:  # a blank line
         rows.insert(at, [])
 
 
-IRREGULARITIES = ("padded_domain", "reordered_instant", "timestamp_spelling", "quoted_field",
-                  "blank_line")
+IRREGULARITIES = ("padded_domain", "reordered_instant", "timestamp_spelling",
+                  "reordered_respelled", "quoted_field", "blank_line")
 
 
 @pytest.mark.parametrize("kind", IRREGULARITIES + DEFECTS)
