@@ -12,29 +12,31 @@ a quoted field reads as LF.
 
 The text is read in one streaming pass, a chunk at a time.  Each chunk of
 about `_CHUNK_CHARS` characters, cut at a line break, becomes one flat
-field list.  `csv.reader` tokenises it, skipping the header and blank lines
-and counting fields; a record still open at the chunk's end reads on a line
-at a time until it closes.  A chunk every line of which is four plain
-fields (three commas, no quote, no NUL) reads the same split at commas and
-line breaks, and is split so by `str.split`, which is about three times as
-fast: that is nearly every chunk of a recorded trace.
+field list.  `csv.reader` tokenises it, skipping the header and blank
+lines; a record still open at the chunk's end reads on a line at a time
+until it closes, and one that is not four fields, or that `csv.reader`
+cannot read, ends the chunk's rows with its error.  A chunk every line of
+which is four plain fields (three commas, no quote, no NUL) reads the same
+split at commas and line breaks, and is split so by `str.split`, which is
+about three times as fast: that is nearly every chunk of a recorded trace.
 
-Conversion is per instant.  The rows of an instant cut by a chunk border
-are carried, as text, to the next chunk's batch, so a batch holds whole
-instants.  The first instant, which fixes the domains, is found on
-converted timestamps.  Every batch then takes one path.  If its instants
-list the domains in another order than the first instant, each instant's
-counters are first put in the first instant's domain order, as text.  It
-then converts one `float` per instant, or every timestamp when some
+One walk reads rows one at a time, in line order: each row's values, then
+its place in its instant.  It reads the first instant, which fixes the
+domains, and it names every error: when a check fails, a record cannot be
+read or the trace ends inside an instant, it reads the rows again from
+that batch on, past it if need be, so the error names the first defect by
+line, as a row-by-row parser would.  The other rows convert per instant.
+The rows of an instant cut by a chunk border are carried, as text, to the
+next chunk's batch, so a batch holds whole instants.  If its instants list
+the domains in another order than the first instant, each instant's
+counters are first put in the first instant's domain order, as text.  A
+batch then converts one `float` per instant, or every timestamp when some
 instant spells its timestamp two ways (`0.5` beside `50e-2`), one `int`
 column per domain (stride slices of the field list) and each distinct
 range text once, and checks them: time strictly increases, the span from
 the first instant is a finite float, counters are in [0, 2^63 - 1] and
 ranges in [1, 2^63 - 1].  No range goes further: a replay folds timestamps
-and counters alone.  Only when a check fails are the batch's rows read
-again, one at a time in line order, each row's values checked and then its
-place in its instant, so the error names the first defect by line, as a
-row-by-row parser would.
+and counters alone.
 
 A replay (`TraceSource`) folds each batch's instants (`meter.ColumnFold`)
 as soon as they are checked, carrying only the last one over to pair it
@@ -52,9 +54,9 @@ import io
 import math
 from array import array
 from collections.abc import Iterator
-from itertools import chain, compress, count, groupby, islice, repeat
-from operator import add, itemgetter, lt, mod, ne, sub
-from typing import NamedTuple, NoReturn, TextIO
+from itertools import chain, groupby, islice, repeat
+from operator import add, itemgetter, lt, mod, sub
+from typing import Any, NamedTuple, NoReturn, TextIO
 
 from .meter import ColumnFold
 
@@ -64,16 +66,18 @@ from .meter import ColumnFold
 _CHUNK_CHARS = 32 * 1024
 _INT64_MAX = 2**63 - 1  # the largest counter or range a trace may hold
 
-# a batch of data rows as read: their fields, four to a row, and each row's
-# line number as `csv.reader` counts records
-_Rows = tuple[list[str], list[int]]
-# the checked instants of a batch, as `ColumnFold` takes them: their
-# timestamps and, per domain in the first instant's row order, their counters
-_Instants = tuple[array, list[list[int]]]
-
 
 class TraceError(Exception):
     """The trace file is malformed."""
+
+
+# a batch of data rows as read: their fields, four to a row, each row's line
+# number as `csv.reader` counts records, and the error of the record after
+# them if it cannot be read as a data row, which ends the readable trace
+_Batch = tuple[list[str], list[int], TraceError | None]
+# the checked instants of a batch, as `ColumnFold` takes them: their
+# timestamps and, per domain in the first instant's row order, their counters
+_Instants = tuple[array, list[list[int]]]
 
 
 class TraceSource:
@@ -126,18 +130,18 @@ def _chunks(fh: TextIO) -> Iterator[str]:
         yield chunk
 
 
-def _batches(fh: TextIO) -> Iterator[_Rows]:
+def _batches(fh: TextIO) -> Iterator[_Batch]:
     """The data rows of the text of `fh`, one batch per chunk."""
     first = 1  # record number of the chunk's first line
     for chunk in _chunks(fh):
         fields = _plain_fields(chunk) if first > 1 else None
         if fields is None:
-            fields, numbers, records = _csv_fields(chunk, fh, first)
+            fields, numbers, records, error = _csv_fields(chunk, fh, first)
         else:
-            records = len(fields) // 4
+            records, error = len(fields) // 4, None
             numbers = list(range(first, first + records))
         first += records
-        yield fields, numbers
+        yield fields, numbers, error
 
 
 # bytes.translate deletes these: all but the comma and the line feed
@@ -158,26 +162,33 @@ def _plain_fields(chunk: str) -> list[str] | None:
     return fields
 
 
-def _csv_fields(chunk: str, fh: TextIO, first: int) -> tuple[list[str], list[int], int]:
+def _csv_fields(chunk: str, fh: TextIO,
+                first: int) -> tuple[list[str], list[int], int, TraceError | None]:
     """Tokenise `chunk` with `csv.reader`; a record still open at its end
     reads on in `fh`, a line at a time, until it closes.  Returns the fields
-    of the data rows, their record numbers and the number of records read.
-    Blank lines and a header on record 1 are skipped."""
+    of the data rows, their record numbers, the number of records read and,
+    if a record is not four fields or `csv.reader` cannot read it, its
+    error: the rows end before it.  Blank lines and a header on record 1
+    are skipped."""
     lines = io.StringIO(chunk).readlines()
     reader = csv.reader(chain(lines, fh))
     fields: list[str] = []
     numbers: list[int] = []
     number = first - 1
-    for number, row in enumerate(reader, first):
-        if row and not (len(row) == 1 and not row[0].strip()) and not (
-                number == 1 and row[0].strip().lower().startswith("timestamp")):
-            if len(row) != 4:
-                raise TraceError(f"line {number}: expected 4 fields, got {len(row)}")
-            fields += row
-            numbers.append(number)
-        if reader.line_num >= len(lines):
-            break
-    return fields, numbers, number - first + 1
+    try:
+        for number, row in enumerate(reader, first):
+            if row and not (len(row) == 1 and not row[0].strip()) and not (
+                    number == 1 and row[0].strip().lower().startswith("timestamp")):
+                if len(row) != 4:
+                    return fields, numbers, number - first, TraceError(
+                        f"line {number}: expected 4 fields, got {len(row)}")
+                fields += row
+                numbers.append(number)
+            if reader.line_num >= len(lines):
+                break
+    except csv.Error as exc:
+        return fields, numbers, number - first, TraceError(f"line {number + 1}: {exc}")
+    return fields, numbers, number - first + 1, None
 
 
 def _in_range(values: list[int], least: int) -> bool:
@@ -189,12 +200,14 @@ class _Loader:
     """Checks batches of data rows for the instant structure and hands on
     their whole instants, converted.
 
-    Valid rows form blocks of D rows, D being the size of the first instant:
-    each block shares one timestamp, block timestamps strictly increase, and
-    each block lists the first instant's domains, in any order.  One method,
-    `_whole_instants`, converts and checks every batch's whole blocks; the
-    rows after them wait, as text, for the next batch.  Every error is
-    named by one row-by-row reading, `_raise_first_error`.
+    One row-by-row walk, `_walk`, reads the first instant, which fixes the
+    domains, and names every error.  After it, valid rows form blocks of D
+    rows, D being the size of the first instant: each block shares one
+    timestamp, block timestamps strictly increase, and each block lists the
+    first instant's domains, in any order.  `_whole_instants` converts and
+    checks each batch's whole blocks; the rows after them wait, as text,
+    for the next batch.  When a check fails, the walk reads the rows again
+    from that batch on, to the trace's end if need be.
     """
 
     def __init__(self) -> None:
@@ -203,43 +216,42 @@ class _Loader:
         self.instants = 0  # checked so far
         self._first_stamp = 0.0  # of the first instant
         self._last_stamp = array("d")  # of the last instant checked
-        self._held: _Rows = [], []  # the rows waiting for the next batch
-        self._first_domains: set[str] = set()  # of the first instant, while it waits
+        self._held: tuple[list[str], list[int]] = [], []  # the rows waiting for the next batch
+        self._batches: Iterator[_Batch] = iter(())  # the batches not yet read
 
     def read(self, fh: TextIO) -> Iterator[_Instants]:
         """The instants of the trace text of `fh`, checked, a batch at a time."""
-        try:
-            for fields, numbers in _batches(fh):
-                if instants := self.add(fields, numbers):
-                    yield instants
-        except csv.Error as exc:
-            raise TraceError(str(exc)) from None
-        if instants := self.add([], [], last=True):
-            yield instants
-        if self.instants < 2:
-            raise TraceError("trace needs at least two instants to form a sample")
+        self._batches = _batches(fh)
+        batch, at, stamp, instant = next(self._walk(([], [], None)))
+        self.domains = list(instant)
+        self._spelled = [spelled for spelled, _ in instant.values()]
+        self._last_stamp = array("d", [stamp])
+        self.instants = 1
+        yield self._last_stamp, [[counter] for _, counter in instant.values()]
+        del instant, batch[0][:4 * at], batch[1][:at]  # hold the first instant no more
+        while batch:  # the rest of its batch, then each batch after it
+            if instants := self.add(batch):
+                yield instants
+            batch = next(self._batches, None)
+        if self._held[1]:  # the trace ends inside an instant
+            self._fail(*self._held)
 
-    def add(self, fields: list[str], numbers: list[int],
-            last: bool = False) -> _Instants | None:
+    def add(self, batch: _Batch) -> _Instants | None:
         """Check a batch of rows, after the rows waiting from earlier
-        batches; return its whole instants, if any.  With `last`, the trace
-        ends here."""
+        batches; return its whole instants, if any."""
+        fields, numbers, error = batch
         held_fields, held_numbers = self._held
-        held = len(held_numbers)
-        if held > len(numbers):  # a wide instant: append, not copy its rows again
+        if len(held_numbers) > len(numbers):  # a wide instant: append, not copy its rows again
             held_fields += fields
             held_numbers += numbers
             fields, numbers = held_fields, held_numbers
         else:  # a short tail: prepend, not copy the batch
             fields[:0] = held_fields
             numbers[:0] = held_numbers
-        if not self.domains and not self._first_instant(fields, numbers, held, last):
-            self._held = fields, numbers
-            return None
+        if error is not None:
+            self._fail(fields, numbers, error)
         rows = len(numbers)
         whole = rows - rows % len(self.domains)  # the rows of whole blocks
-        if whole < rows and last:  # the trace ends inside an instant
-            self._raise_first_error(fields, numbers)
         if not whole:
             self._held = fields, numbers
             return None
@@ -249,38 +261,6 @@ class _Loader:
         self.instants += len(stamps)
         self._last_stamp = stamps[-1:]
         return instants
-
-    def _first_instant(self, fields: list[str], numbers: list[int],
-                       held: int, last: bool) -> bool:
-        """Find the first instant in a batch whose first `held` rows are
-        its own so far; False while it has not ended.  Only the new rows'
-        timestamps are converted, and checked."""
-        rows = len(numbers)
-        try:
-            stamps = array("d", map(float, fields[4 * held::4]))
-            valid = all(map(math.isfinite, stamps))
-        except ValueError:
-            valid = False
-        if not valid:
-            self._raise_first_error(fields, numbers)
-        if not rows:
-            return False
-        if not held:
-            self._first_stamp = stamps[0]
-        # the first instant ends where the timestamp first changes
-        width = next(compress(count(held), map(ne, stamps, repeat(self._first_stamp))), None)
-        if width is None and not last:
-            self._first_domains.update(map(str.strip, fields[4 * held + 1::4]))
-            if len(self._first_domains) < rows:  # a domain repeated
-                self._raise_first_error(fields, numbers)
-            return False
-        width = width or rows
-        spelled = fields[1:4 * width:4]
-        domains = list(map(str.strip, spelled))
-        if len(set(domains)) < width:
-            self._raise_first_error(fields, numbers)
-        self.domains, self._spelled = domains, spelled
-        return True
 
     def _whole_instants(self, fields: list[str], numbers: list[int], whole: int) -> _Instants:
         """The instants of the first `whole` rows, converted and checked.
@@ -296,7 +276,7 @@ class _Loader:
             if domains != self.domains * blocks:  # in another order
                 order = _block_order(domains, self.domains)
                 if order is None:
-                    self._raise_first_error(fields, numbers)
+                    self._fail(fields, numbers)
                 # only the counters need the order: a block's stamps must be equal
                 rows = fields[:end]
                 rows[2:end:4] = map(fields[2:end:4].__getitem__, order)
@@ -318,52 +298,70 @@ class _Loader:
                      and math.isfinite(stamps[-1] - self._first_stamp)
                      and all(_in_range(column, 0) for column in columns) and _in_range(ranges, 1))
         if not valid:
-            self._raise_first_error(fields, numbers)
+            self._fail(fields, numbers)
         return stamps, columns
 
-    def _raise_first_error(self, fields: list[str], numbers: list[int]) -> NoReturn:
-        """Raise the error a row-by-row reading meets first in a batch of
-        rows that fails a check: each row's values, then its place in its
-        instant.  The batch's last instant counts as complete."""
-        covered = set(self.domains) or None
-        index = self.instants - 1  # the instant the rows continue
-        first_ts = self._first_stamp
-        group_ts = self._last_stamp[0] if self._last_stamp else None
-        group = set(self.domains)
-        for i, number in enumerate(numbers):
-            stamp, domain, energy, max_range = fields[4 * i:4 * i + 4]
-            try:
-                ts, e, r = float(stamp), int(energy), int(max_range)
-            except ValueError as exc:
-                raise TraceError(f"line {number}: {exc}") from None
-            if not math.isfinite(ts):
-                raise TraceError(f"line {number}: timestamp {stamp.strip()} is not finite")
-            if not (0 <= e <= _INT64_MAX and 0 < r <= _INT64_MAX):
-                raise TraceError(f"line {number}: counter values out of range")
-            if ts != group_ts:
-                if group_ts is None:  # the rows begin the trace
-                    first_ts = ts
-                else:
-                    if ts < group_ts:
-                        raise TraceError(f"line {number}: timestamps must not decrease")
-                    covered = _check_cover(index, group, covered)
-                    if not math.isfinite(ts - first_ts):
-                        raise TraceError(f"line {number}: the span from "
-                                         f"{first_ts!r} to {ts!r} is not finite")
-                group_ts, group, index = ts, set(), index + 1
-            domain = domain.strip()
-            if domain in group:
-                raise TraceError(f"line {number}: domain {domain} repeated at {ts}")
-            group.add(domain)
-        _check_cover(index, group, covered)
+    def _fail(self, fields: list[str], numbers: list[int],
+              error: TraceError | None = None) -> NoReturn:
+        """Raise the first defect by line from a batch on, in a trace that
+        fails a check there."""
+        for _ in self._walk((fields, numbers, error)):
+            pass
         raise AssertionError("a check failed but no row-by-row check does")
 
+    def _walk(self, batch: _Batch) -> Iterator[tuple[_Batch, int, float, dict[str, Any]]]:
+        """Read the rows of `batch` and of the batches after it one at a
+        time, as `tests/trace_reference.py` does, continuing the instants
+        checked so far (rows that begin the trace set `_first_stamp`), and
+        raise the first defect, at the trace's end the last instant's cover
+        or the count of instants.  At the first row of each instant after
+        the first, once it is checked, yield its batch, its index there, and
+        the instant before it: its timestamp and, per domain in row order,
+        its spelling and counter (None if checked before the walk)."""
+        covered = set(self.domains) or None
+        index = self.instants - 1  # the instant the rows continue
+        group_ts = self._last_stamp[0] if self._last_stamp else None
+        group = dict.fromkeys(self.domains)
+        for batch in chain([batch], self._batches):
+            fields, numbers, error = batch
+            for i, number in enumerate(numbers):
+                stamp, spelled, energy, max_range = fields[4 * i:4 * i + 4]
+                try:
+                    ts, e, r = float(stamp), int(energy), int(max_range)
+                except ValueError as exc:
+                    raise TraceError(f"line {number}: {exc}") from None
+                if not math.isfinite(ts):
+                    raise TraceError(f"line {number}: timestamp {stamp.strip()} is not finite")
+                if not (0 <= e <= _INT64_MAX and 0 < r <= _INT64_MAX):
+                    raise TraceError(f"line {number}: counter values out of range")
+                if ts != group_ts:
+                    if group_ts is None:  # the rows begin the trace
+                        self._first_stamp = ts
+                    else:
+                        if ts < group_ts:
+                            raise TraceError(f"line {number}: timestamps must not decrease")
+                        covered = _check_cover(index, group, covered)
+                        if not math.isfinite(ts - self._first_stamp):
+                            raise TraceError(f"line {number}: the span from "
+                                             f"{self._first_stamp!r} to {ts!r} is not finite")
+                        yield batch, i, group_ts, group
+                    group_ts, group, index = ts, {}, index + 1
+                domain = spelled.strip()
+                if domain in group:
+                    raise TraceError(f"line {number}: domain {domain} repeated at {ts}")
+                group[domain] = spelled, e
+            if error is not None:
+                raise error
+        _check_cover(index, group, covered)
+        if index < 1:
+            raise TraceError("trace needs at least two instants to form a sample")
 
-def _check_cover(index: int, group: set[str], covered: set[str] | None) -> set[str]:
-    """The first instant's domains; raise if instant `index` does not cover them."""
+
+def _check_cover(index: int, group: dict[str, Any], covered: set[str] | None) -> set[str]:
+    """The first instant's domains; raise if instant `index`, `group`, does not cover them."""
     if covered is None:
-        return group
-    if group != covered:
+        return set(group)
+    if group.keys() != covered:
         raise TraceError(f"instant {index} does not cover domains {sorted(covered)}")
     return covered
 
@@ -398,7 +396,7 @@ def parse_trace(text: str) -> list[dict[str, EnergyCounterReading]]:
     rows = chain.from_iterable(
         zip(map(float, fields[0::4]), map(str.strip, fields[1::4]), map(int, fields[2::4]),
             map(int, fields[3::4]))
-        for fields, _ in _batches(io.StringIO(text, newline=None)))
+        for fields, _, _ in _batches(io.StringIO(text, newline=None)))
     return [
         {d: EnergyCounterReading(d, e, r, ts) for ts, d, e, r in instant}
         for _, instant in groupby(rows, itemgetter(0))

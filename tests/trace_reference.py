@@ -4,8 +4,8 @@
 The parser tokenises with `csv.reader` over text split into lines the way
 a file opened with `newline=""` splits them, then validates and groups one
 row at a time.  The chunked loader must accept exactly the traces this
-accepts, with the same instants, and name the same error for a trace with
-one defect.  The fold integrates the whole trace's columns at once; the
+accepts, with the same instants, and name the same error for any other
+trace.  The fold integrates the whole trace's columns at once; the
 batched fold of `TraceSource` (`meter.ColumnFold`) must give the same
 totals to the last bit.
 """
@@ -24,17 +24,25 @@ from carbonrun.traces import EnergyCounterReading, TraceError
 
 def reference_parse(text):
     """Every instant of the trace in `text`, or TraceError."""
+    return _load(_instants(_records(csv.reader(io.StringIO(text, newline="")))))
+
+
+def _records(reader):
+    """The record number and fields of each record; a record `reader`
+    cannot read is a TraceError on its line."""
+    lineno = 0
     try:
-        return _load(_instants(csv.reader(io.StringIO(text, newline=""))))
+        for lineno, row in enumerate(reader, start=1):
+            yield lineno, row
     except csv.Error as exc:
-        raise TraceError(str(exc)) from None
+        raise TraceError(f"line {lineno + 1}: {exc}") from None
 
 
-def _instants(rows):
-    """Validate CSV rows and group them into (timestamp, {domain: (energy, range)})."""
+def _instants(records):
+    """Validate CSV records and group them into (timestamp, {domain: (energy, range)})."""
     group = {}
     group_ts = None
-    for lineno, row in enumerate(rows, start=1):
+    for lineno, row in records:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if lineno == 1 and row[0].strip().lower().startswith("timestamp"):
