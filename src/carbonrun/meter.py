@@ -16,7 +16,6 @@ constant however long the run.  A replay is folded while it is read.
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 import re
@@ -24,8 +23,8 @@ import select
 import shutil
 import time
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, compress, count, groupby, islice, starmap
-from operator import ge, gt, sub
+from itertools import chain, compress, count, islice, starmap
+from operator import gt, sub
 from typing import NamedTuple
 
 from .records import Checked
@@ -199,27 +198,28 @@ def _pairs(column: Sequence) -> tuple[Iterator, Iterator]:
 def fold_columns(
     timestamps: Sequence[float], energies: Sequence[Sequence[int]]
 ) -> tuple[int, int, int, Iterator[float]]:
-    """Integrate every pair of consecutive instants, given the instants'
-    timestamps, which must increase, and one counter column (µJ) per domain
-    (at least one).  The pair rule: a pair in which any counter fell (a wrap
-    or a reset) is dropped whole, in every column; equal counters are kept.
+    """Integrate every pair of consecutive instants, given their timestamps
+    and one counter column (µJ) per domain (at least one).  Time strictly
+    increases, as checked where instants are read: the trace loader rejects
+    a batch whose stamps do not, counting from the instant it carries over,
+    and `SamplingSession._read` skips a read that does not advance.  The
+    pair rule: a pair in which any counter fell (a wrap or a reset) is
+    dropped whole, in every column; equal counters are kept.
 
     Returns the kept µJ, the numbers of kept and dropped pairs, and the kept
     seconds as terms whose exact sum (`math.fsum`) they are: every pair's
     interval, and each dropped pair's interval negated.  Kept µJ are each
     domain's net advance minus the dropped pairs' advances.  The pairs where
-    a counter fell are found by C-level iterators over the columns: one pass
-    per column, nothing copied, memory O(domains).  Columns cut into pieces
+    a counter fell are found by C-level iterators, one pass per column,
+    nothing copied, and gathered in one sorted set.  Columns cut into pieces
     that overlap by one instant fold to the same totals when the pieces' µJ
     are added and all their terms go to one `fsum`, since `fsum` is exactly
     rounded whatever the order.  The terms are lazy over the columns given.
     """
     if len(timestamps) < 2:
         return 0, 0, 0, iter(())
-    if any(map(ge, *_pairs(timestamps))):
-        raise ValueError("readings must be in increasing time order")
-    falls = heapq.merge(*(compress(count(), map(gt, *_pairs(column))) for column in energies))
-    dropped = [j for j, _ in groupby(falls)]
+    dropped = sorted(set(chain.from_iterable(
+        compress(count(), map(gt, *_pairs(column))) for column in energies)))
     kept_uj = sum(column[-1] - column[0] for column in energies) - sum(
         column[j + 1] - column[j] for j in dropped for column in energies
     )

@@ -42,9 +42,8 @@ A replay (`TraceSource`) folds each batch's instants (`meter.ColumnFold`)
 as soon as they are checked, carrying only the last one over to pair it
 with the next batch's first, so reading holds one chunk, the rest of a
 record open at its end, the rows of one instant and the integral's totals,
-however long the trace.  `parse_trace` checks a trace the same way, then
-reads it again, converting every row, range included, to group its rows
-into instants.
+however long the trace.  `parse_trace` reads a trace through the walk
+alone, which checks every row and yields each instant, ranges included.
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ import io
 import math
 from array import array
 from collections.abc import Iterator
-from itertools import chain, groupby, islice, repeat
-from operator import add, itemgetter, lt, mod, sub
+from itertools import chain, islice, repeat
+from operator import add, lt, mod, sub
 from typing import Any, NamedTuple, NoReturn, TextIO
 
 from .meter import ColumnFold
@@ -222,12 +221,12 @@ class _Loader:
     def read(self, fh: TextIO) -> Iterator[_Instants]:
         """The instants of the trace text of `fh`, checked, a batch at a time."""
         self._batches = _batches(fh)
-        batch, at, stamp, instant = next(self._walk(([], [], None)))
+        batch, at, stamp, instant = next(self._walk(self._batches))
         self.domains = list(instant)
-        self._spelled = [spelled for spelled, _ in instant.values()]
+        self._spelled = [spelled for spelled, _, _ in instant.values()]
         self._last_stamp = array("d", [stamp])
         self.instants = 1
-        yield self._last_stamp, [[counter] for _, counter in instant.values()]
+        yield self._last_stamp, [[counter] for _, counter, _ in instant.values()]
         del instant, batch[0][:4 * at], batch[1][:at]  # hold the first instant no more
         while batch:  # the rest of its batch, then each batch after it
             if instants := self.add(batch):
@@ -305,24 +304,25 @@ class _Loader:
               error: TraceError | None = None) -> NoReturn:
         """Raise the first defect by line from a batch on, in a trace that
         fails a check there."""
-        for _ in self._walk((fields, numbers, error)):
+        for _ in self._walk(chain([(fields, numbers, error)], self._batches)):
             pass
         raise AssertionError("a check failed but no row-by-row check does")
 
-    def _walk(self, batch: _Batch) -> Iterator[tuple[_Batch, int, float, dict[str, Any]]]:
-        """Read the rows of `batch` and of the batches after it one at a
-        time, as `tests/trace_reference.py` does, continuing the instants
-        checked so far (rows that begin the trace set `_first_stamp`), and
-        raise the first defect, at the trace's end the last instant's cover
-        or the count of instants.  At the first row of each instant after
-        the first, once it is checked, yield its batch, its index there, and
-        the instant before it: its timestamp and, per domain in row order,
-        its spelling and counter (None if checked before the walk)."""
+    def _walk(self, batches: Iterator) -> Iterator[tuple[_Batch, int, float, dict[str, Any]]]:
+        """Read the rows of `batches` one at a time, as
+        `tests/trace_reference.py` does, continuing the instants checked so
+        far (rows that begin the trace set `_first_stamp`), and raise the
+        first defect, at the trace's end the last instant's cover or the
+        count of instants.  Yield each instant once it is checked, at the
+        first row of the next or at the trace's end: the batch and index of
+        that row (at the end, the batch's length), its timestamp and, per
+        domain in row order, its spelling, counter and range text (None if
+        checked before the walk)."""
         covered = set(self.domains) or None
         index = self.instants - 1  # the instant the rows continue
         group_ts = self._last_stamp[0] if self._last_stamp else None
         group = dict.fromkeys(self.domains)
-        for batch in chain([batch], self._batches):
+        for batch in batches:
             fields, numbers, error = batch
             for i, number in enumerate(numbers):
                 stamp, spelled, energy, max_range = fields[4 * i:4 * i + 4]
@@ -349,12 +349,13 @@ class _Loader:
                 domain = spelled.strip()
                 if domain in group:
                     raise TraceError(f"line {number}: domain {domain} repeated at {ts}")
-                group[domain] = spelled, e
+                group[domain] = spelled, e, max_range
             if error is not None:
                 raise error
         _check_cover(index, group, covered)
         if index < 1:
             raise TraceError("trace needs at least two instants to form a sample")
+        yield batch, len(batch[1]), group_ts, group
 
 
 def _check_cover(index: int, group: dict[str, Any], covered: set[str] | None) -> set[str]:
@@ -389,15 +390,10 @@ class EnergyCounterReading(NamedTuple):  # one row of a trace
 
 
 def parse_trace(text: str) -> list[dict[str, EnergyCounterReading]]:
-    """Every instant of a trace, checked as `TraceSource` checks it: the
-    rows of each, one per domain, in the order the trace lists them."""
-    for _ in _Loader().read(io.StringIO(text, newline=None)):
-        pass
-    rows = chain.from_iterable(
-        zip(map(float, fields[0::4]), map(str.strip, fields[1::4]), map(int, fields[2::4]),
-            map(int, fields[3::4]))
-        for fields, _, _ in _batches(io.StringIO(text, newline=None)))
+    """Every instant of a trace, checked row by row as `TraceSource` checks
+    it: the rows of each, one per domain, in the order the trace lists them."""
     return [
-        {d: EnergyCounterReading(d, e, r, ts) for ts, d, e, r in instant}
-        for _, instant in groupby(rows, itemgetter(0))
+        {domain: EnergyCounterReading(domain, energy, int(max_range), stamp)
+         for domain, (_, energy, max_range) in instant.items()}
+        for _, _, stamp, instant in _Loader()._walk(_batches(io.StringIO(text, newline=None)))
     ]

@@ -583,7 +583,7 @@ class TestDependencies:
 
     def test_import_leaves_out_dataclasses_inspect_and_difflib(self):
         # -S: no site hook, so only the CLI's own imports count
-        heavy = ["dataclasses", "inspect", "difflib", "html", "subprocess"]
+        heavy = ["dataclasses", "inspect", "difflib", "html", "subprocess", "heapq"]
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         proc = subprocess.run(
             [sys.executable, "-S", "-c",

@@ -88,6 +88,18 @@ def _fmt(value):
 
 
 GOOD_STATE = "us-zz,Testonia,0.5,0.1,0.2,0.2,1000.0,500000,100000,200000,500.0,80.0,150.0"
+# a state row with one defect, and the error that names it on its line
+BAD_STATES = {
+    GOOD_STATE.replace("0.5,0.1", "1.5,0.1"): "mix fraction coal=1.5 outside [0, 1]",
+    GOOD_STATE.replace("0.5,0.1", "0.5,-0.01"): "mix fraction oil=-0.01 outside [0, 1]",
+    GOOD_STATE.replace("0.2,0.2,1000", "0.2,0.0,1000"): "mix fractions sum to 0.8, expected ~1",
+    GOOD_STATE.replace("1000.0", "-5.0"): "negative output_rate_lbs_per_mwh -5.0",
+    GOOD_STATE.replace("500000", "-500000"): "negative coal_gen_mwh -500000.0",
+    GOOD_STATE.replace("500.0", "nan"): "coal_emit_kt='nan' is not finite",
+    GOOD_STATE + ",extra": "expected 13 fields, got 14",
+    GOOD_STATE.replace("1000.0", "abc"): "output_rate_lbs_per_mwh='abc' is not a number",
+    GOOD_STATE.replace("us-zz,", ","): "empty state id or name",
+}
 
 
 class TestEnergyMix:
@@ -149,21 +161,11 @@ class TestParseEgrid:
         with pytest.raises(SchemaError, match=f"^line {line}: field larger than field limit"):
             parse_egrid("\n".join(lines))
 
-    @pytest.mark.parametrize(
-        "mutation",
-        [
-            GOOD_STATE.replace("0.5,0.1", "1.5,0.1"),           # frac > 1
-            GOOD_STATE.replace("0.5,0.1", "0.5,-0.01"),         # negative frac
-            GOOD_STATE.replace("0.2,0.2,1000", "0.2,0.0,1000"),  # sum 0.8
-            GOOD_STATE.replace("1000.0", "-5.0"),                # negative rate
-            GOOD_STATE.replace("500000", "-500000"),             # negative gen
-            GOOD_STATE.replace("500.0", "nan"),                  # NaN emissions
-            GOOD_STATE + ",extra",                               # field count
-        ],
-    )
+    @pytest.mark.parametrize("mutation", BAD_STATES)
     def test_bad_rows(self, mutation):
-        with pytest.raises(SchemaError, match="^line 2: "):
+        with pytest.raises(SchemaError) as err:
             parse_egrid(us_csv(mutation))
+        assert str(err.value) == f"line 2: {BAD_STATES[mutation]}"
 
     def test_duplicate_state_id(self):
         with pytest.raises(SchemaError):
@@ -198,6 +200,10 @@ class TestParseEia:
     def test_real_negative_rejected(self):
         with pytest.raises(SchemaError, match="^line 2: "):
             parse_eia(intl_csv("zz,Testland,false,0.5,-0.01,0.31,0.2"))
+
+    def test_empty_country_name(self):
+        with pytest.raises(SchemaError, match="^line 2: empty country id or name$"):
+            parse_eia(intl_csv("zz,,false,0.5,0.1,0.2,0.2"))
 
     def test_bad_is_europe(self):
         with pytest.raises(SchemaError):
@@ -293,6 +299,16 @@ class TestSnapshot:
                                       str(paths[griddata.INTL_DATA_FILE]))
         assert loaded.regions == snapshot.regions
         assert load_equivalency_factors(str(paths[EQUIV_DATA_FILE])) == load_equivalency_factors()
+
+
+    def test_a_region_in_both_snapshots_is_rejected(self, tmp_path):
+        us, intl = tmp_path / "us.csv", tmp_path / "intl.csv"
+        us_text = griddata.read_data(None, griddata.US_DATA_FILE)
+        assert us_text.count("\nus-ca,") == 1
+        us.write_text(us_text.replace("\nus-ca,", "\nde,"))
+        intl.write_text(griddata.read_data(None, griddata.INTL_DATA_FILE))
+        with pytest.raises(SchemaError, match="^region id 'de' appears in both snapshots$"):
+            DatasetSnapshot.load(str(us), str(intl))
 
 
 class TestLookup:

@@ -137,12 +137,6 @@ class TestPowerFromReadings:
         assert energy == Energy(dropped=1)
         assert energy.watts == 0.0
 
-    def test_time_must_increase(self):
-        # time that goes back; for time that stands still see
-        # `TestSamplingSession.test_fold_rejects_time_that_does_not_increase`
-        with pytest.raises(ValueError, match="increasing time order"):
-            fold((0.0, [0]), (2.0, [10]), (1.0, [20]))
-
     def test_one_falling_domain_drops_the_pair_and_seconds_span_the_instants(self):
         energy = fold((0.0, [0, 500]), (1.0, [4_000_000, 100]), (3.0, [8_000_000, 2_000_100]))
         assert energy == Energy(joules=6.0, seconds=2.0, pairs=1, dropped=1)
@@ -208,6 +202,17 @@ class TestLiveFold:
         instants = [(0.0, [0]), (1.0, [1_000_000]), (1.0, [1_500_000]), (2.0, [3_000_000])]
         session = run_script(Script(instants))
         assert session.stop() == Energy(joules=3.0, seconds=2.0, pairs=2)
+
+    def test_reads_that_do_not_advance_are_skipped_after_a_batch_border(self, monkeypatch):
+        # the fold checks no time order: the session keeps it, against the
+        # last read of the batch before too.  The 5th read repeats the 4th's
+        # stamp and a later one steps back; kept, either would drop a pair.
+        monkeypatch.setattr(meter, "BATCH_INSTANTS", 4)
+        kept = [(float(t), [10**6 * t]) for t in range(8)]
+        instants = [*kept[:4], (3.0, [500_000]), *kept[4:6], (4.5, [4_500_000]), *kept[6:]]
+        session = run_script(Script(instants))
+        assert session.stop() == replay(kept).stop()
+        assert session.span_s == 7.0
 
 
 class TestMeterConfig:
@@ -591,10 +596,6 @@ class TestSamplingSession:
         assert (energy.pairs, energy.dropped) == (2, 1)
         assert energy.seconds == 2.0
         assert energy.watts == 5.0  # (4 + 1) J per second over 2 s
-
-    def test_fold_rejects_time_that_does_not_increase(self):
-        with pytest.raises(ValueError, match="increasing time order"):
-            fold_columns([1.0, 1.0], [[0, 10]])
 
     @given(
         domains=st.integers(min_value=1, max_value=3),

@@ -65,6 +65,7 @@ MALFORMED_TRACES = [
     "0,pkg-0,-5,100\n1,pkg-0,5,100\n",  # negative counter
     *BEYOND_64_BITS,
     "-1e308,pkg-0,0,100\n1e308,pkg-0,5000000,100\n",  # a span beyond a float
+    "0,a,1,10\n0,b,1,10\n1,a,2,10\n",  # the trace ends inside an instant
 ]
 
 # a power, then a power times the span, beyond a float: 9e12 J over
@@ -82,8 +83,12 @@ NON_UTF8_TRACE = b"0,pkg-0,0,100\n1,pkg-\xff0,5,100\n"
 
 @pytest.mark.parametrize("text", MALFORMED_TRACES)
 def test_malformed_traces_rejected(text):
-    with pytest.raises(TraceError):
-        parse_trace(text)
+    with pytest.raises(TraceError) as expected:
+        reference_parse(text)
+    for parse in (TraceSource.from_csv, parse_trace):
+        with pytest.raises(TraceError) as err:
+            parse(text)
+        assert str(err.value) == str(expected.value)
 
 
 def test_a_span_beyond_a_float_fails_on_the_line_that_reaches_it():
@@ -106,8 +111,9 @@ def test_a_power_or_an_energy_beyond_a_float_is_rejected(text, message):
 
 @pytest.mark.parametrize("text", BEYOND_64_BITS)
 def test_values_beyond_64_bits_fail_on_their_line(text):
-    with pytest.raises(TraceError, match="^line 1: counter values out of range$"):
-        parse_trace(text)
+    for parse in (TraceSource.from_csv, parse_trace):
+        with pytest.raises(TraceError, match="^line 1: counter values out of range$"):
+            parse(text)
 
 
 # two defects, of which a row-by-row reading names the one on the first
@@ -154,7 +160,7 @@ def test_non_utf8_file_rejected(tmp_path):
 
 def test_csv_error_becomes_trace_error():
     oversized = "1" * (csv.field_size_limit() + 1)
-    for parse in (parse_trace, reference_parse):
+    for parse in (TraceSource.from_csv, parse_trace, reference_parse):
         with pytest.raises(TraceError, match="^line 1: field larger than field limit"):
             parse(f"0,pkg-0,{oversized},100\n1,pkg-0,5,100\n")
 
@@ -171,17 +177,20 @@ def test_instants_may_list_domains_in_any_order():
     instants = parse_trace(text)
     assert (instants[1]["a"].energy_uj, instants[1]["b"].energy_uj) == (5, 7)
     assert instants == reference_parse(text)
+    assert totals(TraceSource.from_csv(text)) == reference_totals(text)
 
 
 def test_line_numbers_count_records_after_a_quoted_line_break():
     text = '0,"pkg\n-0",0,100\n1,"pkg\n-0",5,100\n2,pkg-0,x,100\n'
-    with pytest.raises(TraceError, match="^line 3: invalid literal"):
-        parse_trace(text)
+    for parse in (TraceSource.from_csv, parse_trace):
+        with pytest.raises(TraceError, match="^line 3: invalid literal"):
+            parse(text)
 
 
 def test_lone_carriage_returns_end_lines():
-    assert parse_trace("0,pkg-0,0,100\r1,pkg-0,5,100\r") == reference_parse(
-        "0,pkg-0,0,100\r1,pkg-0,5,100\r")
+    text = "0,pkg-0,0,100\r1,pkg-0,5,100\r"
+    assert parse_trace(text) == reference_parse(text)
+    assert totals(TraceSource.from_csv(text)) == reference_totals(text)
 
 
 def _batch_sizes(monkeypatch):
@@ -216,14 +225,16 @@ def test_a_first_instant_longer_than_many_chunks(monkeypatch):
     monkeypatch.setattr(traces, "_CHUNK_CHARS", 64)
     sizes = _batch_sizes(monkeypatch)
     assert parse_trace(text) == reference_parse(text)
+    assert totals(TraceSource.from_csv(text)) == reference_totals(text)
     assert len(sizes) > 30
-    with pytest.raises(TraceError, match=r"^line 300: domain d0 repeated at 0\.0$"):
-        parse_trace(text.replace("d299,", "d0,", 1))
-    # a repeat in a first instant that never ends fails before the rest is read
-    del sizes[:]
-    with pytest.raises(TraceError, match=r"^line 2: domain d0 repeated at 0\.0$"):
-        parse_trace("".join(f"0,{d},0,1\n" for d in ["d0"] + domains))
-    assert len(sizes) == 1
+    for parse in (TraceSource.from_csv, parse_trace):
+        with pytest.raises(TraceError, match=r"^line 300: domain d0 repeated at 0\.0$"):
+            parse(text.replace("d299,", "d0,", 1))
+        # a repeat in a first instant that never ends fails before the rest is read
+        del sizes[:]
+        with pytest.raises(TraceError, match=r"^line 2: domain d0 repeated at 0\.0$"):
+            parse("".join(f"0,{d},0,1\n" for d in ["d0"] + domains))
+        assert len(sizes) == 1
 
 
 # generated traces: their domains, and the defects of MALFORMED_TRACES plus a dropped row
