@@ -31,14 +31,6 @@ class WorkloadShape(Enum):
     QUADRATIC = "quadratic"
     EXPONENTIAL = "exp"
 
-    @classmethod
-    def parse(cls, name: str) -> "WorkloadShape":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            choices = ", ".join(s.value for s in cls)
-            raise ValueError(f"unknown shape {name!r}; choose one of {choices}") from None
-
 
 class _Spec(NamedTuple):
     shape: WorkloadShape

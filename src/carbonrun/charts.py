@@ -11,6 +11,9 @@ import math
 
 FONT = "font-family='Helvetica,Arial,sans-serif'"
 
+PIE_SIZE = 240  # the pie's square, before its legend
+PANEL_WIDTH, PANEL_HEIGHT = 300, 230
+
 # what `html.escape` replaces, without loading `html` and its entity table
 _ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "'": "&#x27;"})
 
@@ -29,7 +32,7 @@ def _wedge_point(cx: float, cy: float, r: float, angle_deg: float) -> tuple[floa
     return cx + r * math.cos(rad), cy + r * math.sin(rad)
 
 
-def pie_chart(slices: list[tuple[str, float, str]], size: int = 240) -> str:
+def pie_chart(slices: list[tuple[str, float, str]]) -> str:
     """Render (label, fraction, color) slices as a pie with a legend.
 
     Wedges start at 12 o'clock and run clockwise in list order.  Fractions
@@ -39,6 +42,7 @@ def pie_chart(slices: list[tuple[str, float, str]], size: int = 240) -> str:
     total = sum(max(f, 0.0) for _, f, _ in slices)
     if total <= 0:
         raise ValueError("pie chart needs at least one positive fraction")
+    size = PIE_SIZE
     cx = cy = size / 2.0
     r = size / 2.0 - 6.0
     legend_h = 20 * len(slices) + 8
@@ -82,12 +86,7 @@ def pie_chart(slices: list[tuple[str, float, str]], size: int = 240) -> str:
     return "".join(parts)
 
 
-def bar_panel(
-    title: str,
-    bars: list[tuple[str, float, str]],
-    width: int = 300,
-    height: int = 230,
-) -> str:
+def bar_panel(title: str, bars: list[tuple[str, float, str]]) -> str:
     """Render (label, value, color) bars on one shared linear scale.
 
     Bar heights are proportional to value; each bar carries its value in
@@ -95,6 +94,7 @@ def bar_panel(
     """
     if not bars:
         raise ValueError("bar panel needs at least one bar")
+    width, height = PANEL_WIDTH, PANEL_HEIGHT
     top, bottom, side = 40.0, 50.0, 14.0
     plot_h = height - top - bottom
     plot_w = width - 2 * side

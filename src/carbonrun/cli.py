@@ -203,6 +203,11 @@ def cmd_run(options: argparse.Namespace) -> int:
     return code
 
 
+# the kind column of the `regions` listing; aggregates belong to no group
+REGION_KINDS = {RegionGroup.US: "us_state", RegionGroup.EUROPE: "country",
+                RegionGroup.GLOBAL: "country", None: "aggregate"}
+
+
 def cmd_regions(options: argparse.Namespace) -> int:
     try:
         snapshot = DatasetSnapshot.load(options.us_data, options.intl_data)
@@ -222,20 +227,20 @@ def cmd_regions(options: argparse.Namespace) -> int:
     for region_id in sorted(snapshot.regions):
         region = snapshot.regions[region_id]
         print(
-            f"{region.id:<14} {region.kind.value:<9} {intensity_label(region)}  "
+            f"{region.id:<14} {REGION_KINDS[region.group]:<9} {intensity_label(region)}  "
             f"{region.display_name}"
         )
     return 0
 
 
 def _workload_spec(options: argparse.Namespace) -> WorkloadSpec:
-    return WorkloadSpec(WorkloadShape.parse(options.shape), options.n, options.unit_ops)
+    return WorkloadSpec(WorkloadShape(options.shape), options.n, options.unit_ops)
 
 
 def cmd_bench(options: argparse.Namespace) -> int:
     try:
         spec = _workload_spec(options)
-    except (GuardExceeded, ValueError) as exc:
+    except GuardExceeded as exc:
         return _fail(str(exc))
     argv = [sys.executable, "-m", "carbonrun", "workload", spec.shape.value, str(spec.n),
             "--unit-ops", str(spec.unit_ops)]

@@ -4,8 +4,9 @@ Two embedded UTF-8 CSV snapshots (2016 vintage), either of which a user's
 file may replace, drive everything:
 
 * `us_grid_2016.csv`: per-state fuel mix, the direct output emission rate in
-  lbs CO2 per MWh, and per-fuel generation/emissions used to derive
-  state-level fuel intensities.
+  lbs CO2 per MWh, and per-fuel generation and emissions.  The generation
+  weights the US average; the emissions columns are checked but price
+  nothing.
 * `intl_grid_2016.csv`: per-country fuel mix only.  Countries carry no
   direct rate; their intensity is the mix weighted by canonical per-fuel
   intensities.
@@ -13,7 +14,8 @@ file may replace, drive everything:
 Three synthetic aggregate regions are built at load time: us-average
 (generation weighted), europe-average (unweighted mean mix) and
 world-average (pinned global mix and rate).  Each region group is ranked
-once, at load; a group left with no member is a `SchemaError` there.
+once, at load; a group left with no member, or a US snapshot with no fossil
+generation to weight its average by, is a `SchemaError` there.
 """
 
 from __future__ import annotations
@@ -89,16 +91,6 @@ class UnknownRegion(Exception):
         super().__init__(msg)
 
 
-class ZeroGeneration(Exception):
-    """Emissions were reported for a fuel that generated nothing."""
-
-
-class RegionKind(Enum):
-    US_STATE = "us_state"
-    COUNTRY = "country"
-    AGGREGATE = "aggregate"
-
-
 class RegionGroup(Enum):
     US = "us"
     EUROPE = "europe"
@@ -156,10 +148,9 @@ CANONICAL_INTENSITIES = FuelIntensities(
 class RegionRecord(NamedTuple):
     id: str
     display_name: str
-    kind: RegionKind
     mix: EnergyMix
     direct_rate_lbs_per_mwh: float | None = None
-    group: RegionGroup | None = None
+    group: RegionGroup | None = None  # None for the aggregates
 
     @property
     def kg_co2_per_kwh(self) -> float:
@@ -271,7 +262,6 @@ def parse_egrid(text: str) -> list[StateRow]:
         record = RegionRecord(
             id=state_id,
             display_name=name,
-            kind=RegionKind.US_STATE,
             mix=mix,
             direct_rate_lbs_per_mwh=rate,
             group=RegionGroup.US,
@@ -301,38 +291,12 @@ def parse_eia(text: str) -> list[RegionRecord]:
             RegionRecord(
                 id=country_id,
                 display_name=name,
-                kind=RegionKind.COUNTRY,
                 mix=_parse_mix(fields, lineno, clamp=True),
                 direct_rate_lbs_per_mwh=None,
                 group=RegionGroup.EUROPE if is_europe else RegionGroup.GLOBAL,
             )
         )
     return out
-
-
-def derive_fuel_intensity(
-    generation_mwh: dict[str, float], emissions_kt: dict[str, float]
-) -> FuelIntensities:
-    """Per-fuel intensity (kg/MWh) from generation and total emissions.
-
-    Kilotonnes to kilograms is 1e6, so intensity = kt * 1e6 / MWh.  A fuel
-    that generated nothing but still reports emissions is contradictory data.
-    """
-    values = {}
-    for fuel in FOSSIL_FUELS:
-        gen = generation_mwh.get(fuel, 0.0)
-        emit = emissions_kt.get(fuel, 0.0)
-        if gen < 0 or emit < 0:
-            raise ValueError(f"negative generation or emissions for {fuel}")
-        if gen == 0:
-            if emit > 0:
-                raise ZeroGeneration(
-                    f"{fuel}: {emit} kt emitted with zero generation"
-                )
-            values[fuel] = 0.0
-        else:
-            values[fuel] = emit * 1e6 / gen
-    return FuelIntensities(**values, low_carbon=0.0)
 
 
 class DatasetSnapshot:
@@ -350,8 +314,8 @@ class DatasetSnapshot:
     ) -> "DatasetSnapshot":
         """Build the lookup snapshot from packaged (or user-supplied) CSVs.
 
-        Raises SchemaError when a file is malformed or a region group is
-        left with no member.
+        Raises SchemaError when a file is malformed, a region group is
+        left with no member, or no US state reports fossil generation.
         """
         states = parse_egrid(read_data(us_path, US_DATA_FILE))
         countries = parse_eia(read_data(intl_path, INTL_DATA_FILE))
@@ -437,7 +401,6 @@ def _build_aggregates(
         RegionRecord(
             id="world-average",
             display_name="World (average)",
-            kind=RegionKind.AGGREGATE,
             mix=EnergyMix(*WORLD_MIX),
             direct_rate_lbs_per_mwh=WORLD_RATE_LBS_PER_MWH,
         )
@@ -458,16 +421,16 @@ def _build_aggregates(
         total_weight += weight
         weighted_rate += weight * row.record.direct_rate_lbs_per_mwh
         weighted_mix = [total + weight * frac for total, frac in zip(weighted_mix, mix)]
-    if total_weight > 0:
-        aggregates.append(
-            RegionRecord(
-                id="us-average",
-                display_name="United States (average)",
-                kind=RegionKind.AGGREGATE,
-                mix=EnergyMix(*(total / total_weight for total in weighted_mix)),
-                direct_rate_lbs_per_mwh=weighted_rate / total_weight,
-            )
+    if total_weight <= 0:
+        raise SchemaError("no US state reports fossil generation to weight the US average by")
+    aggregates.append(
+        RegionRecord(
+            id="us-average",
+            display_name="United States (average)",
+            mix=EnergyMix(*(total / total_weight for total in weighted_mix)),
+            direct_rate_lbs_per_mwh=weighted_rate / total_weight,
         )
+    )
 
     # load has checked that Europe has members
     europe = [c for c in countries if c.group is RegionGroup.EUROPE]
@@ -476,7 +439,6 @@ def _build_aggregates(
         RegionRecord(
             id="europe-average",
             display_name="Europe (average)",
-            kind=RegionKind.AGGREGATE,
             mix=EnergyMix(*mean_mix),
             direct_rate_lbs_per_mwh=None,
         )

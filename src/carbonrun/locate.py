@@ -16,7 +16,7 @@ import urllib.request
 from enum import Enum
 from typing import NamedTuple
 
-from .griddata import DatasetSnapshot, RegionKind, RegionRecord, UnknownRegion
+from .griddata import DatasetSnapshot, RegionGroup, RegionRecord, UnknownRegion
 
 ENV_REGION = "ENERGYUSAGE_REGION"
 GEO_ENDPOINT = "https://get.geojs.io"
@@ -112,7 +112,7 @@ def _geolocate(
                 region = snapshot.lookup(state)
             except UnknownRegion:
                 region = None
-            if region is not None and region.kind is RegionKind.US_STATE:
+            if region is not None and region.group is RegionGroup.US:
                 return LocationResolution(
                     region,
                     ResolutionMethod.GEOLOCATION,
@@ -127,7 +127,7 @@ def _geolocate(
         region = snapshot.lookup(country_code)
     except UnknownRegion:
         return None
-    if region.kind is not RegionKind.COUNTRY:
+    if region.group not in (RegionGroup.EUROPE, RegionGroup.GLOBAL):
         return None
     return LocationResolution(
         region,

@@ -43,20 +43,6 @@ class TestSpec:
             WorkloadSpec(WorkloadShape.LINEAR, 1, unit_ops=0)
 
 
-class TestShapeParse:
-    @pytest.mark.parametrize("name,shape", [
-        ("linear", WorkloadShape.LINEAR),
-        ("QUADRATIC", WorkloadShape.QUADRATIC),
-        (" exp ", WorkloadShape.EXPONENTIAL),
-    ])
-    def test_accepted(self, name, shape):
-        assert WorkloadShape.parse(name) is shape
-
-    def test_rejected(self):
-        with pytest.raises(ValueError):
-            WorkloadShape.parse("cubic")
-
-
 class TestRunWorkload:
     def test_checksum_reflects_addition_count(self):
         spec = WorkloadSpec(WorkloadShape.LINEAR, 4, unit_ops=1000)

@@ -17,6 +17,7 @@ import pytest
 from carbonrun import cli, emissions, griddata, meter, report, traces
 
 from conftest import constant_trace, short_tail_trace
+from test_griddata import no_fossil_us_text
 from test_meter import make_package_tree
 from test_traces import MALFORMED_TRACES, NON_FINITE_ENERGY_TRACES, NON_UTF8_TRACE
 
@@ -24,6 +25,7 @@ CLI = [sys.executable, "-m", "carbonrun"]
 # `cli.main` as a program of its own, ending in a full interpreter shutdown
 MAIN = [sys.executable, "-c", "from carbonrun.cli import main; main()"]
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+REGIONS_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "regions.txt")
 
 
 def run_cli(*args, env_extra=None, timeout=60, entry=CLI, text=True):
@@ -243,6 +245,17 @@ class TestExitCodes:
                             child=("sh", "-c", f"touch '{marker}'"))
         assert proc.returncode == 2
         assert proc.stderr == "carbonrun: error: no regions in group 'europe'\n"
+        assert not marker.exists()
+
+    def test_us_data_with_no_fossil_generation_exits_2_before_child(self, trace_file, tmp_path):
+        us_data, marker = tmp_path / "no-fossil.csv", tmp_path / "child-ran"
+        us_data.write_text(no_fossil_us_text())
+        proc = measured_run(trace_file, "--us-data", str(us_data),
+                            "--default-region", "us", child=("touch", str(marker)))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "carbonrun: error: no US state reports fossil generation "
+            "to weight the US average by\n")
         assert not marker.exists()
 
     def test_defect_on_the_last_line_of_a_long_trace_exits_2_before_child(self, tmp_path):
@@ -730,6 +743,12 @@ class TestRegionsCommand:
         # 51 states + 186 countries + 3 aggregates
         assert len(proc.stdout.strip().splitlines()) == 240
 
+    def test_listing_matches_golden(self):
+        proc = run_cli("regions", text=False)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        with open(REGIONS_GOLDEN, "rb") as fh:
+            assert proc.stdout == fh.read()
+
     def test_extremes_us(self):
         proc = run_cli("regions", "--extremes", "us")
         lines = proc.stdout.strip().splitlines()
@@ -789,6 +808,12 @@ class TestBenchCommand:
         proc = run_cli("bench", "exp", "31")
         assert proc.returncode == 2
         assert "capped" in proc.stderr
+
+    def test_unknown_shape_exits_2_before_child(self, trace_file):
+        proc = run_cli("bench", "cubic", "2", "--unit-ops", "1000",
+                       "--trace", trace_file, "--offline")
+        assert (proc.returncode, proc.stdout) == (2, "")  # no workload checksum
+        assert "argument SHAPE: invalid choice: 'cubic'" in proc.stderr
 
     def test_bench_under_trace(self, trace_file):
         proc = run_cli(

@@ -18,7 +18,6 @@ from carbonrun.griddata import (
     CANONICAL_INTENSITIES,
     KG_PER_LB,
     EnergyMix,
-    RegionKind,
     RegionRecord,
 )
 
@@ -27,7 +26,6 @@ def mix_region(coal, oil, gas, low, rate=None):
     return RegionRecord(
         id="zz-test",
         display_name="Test Region",
-        kind=RegionKind.COUNTRY,
         mix=EnergyMix(coal=coal, oil=oil, natural_gas=gas, low_carbon=low),
         direct_rate_lbs_per_mwh=rate,
     )

@@ -15,11 +15,8 @@ from carbonrun.griddata import (
     EnergyMix,
     FuelIntensities,
     RegionGroup,
-    RegionKind,
     SchemaError,
     UnknownRegion,
-    ZeroGeneration,
-    derive_fuel_intensity,
     parse_egrid,
     parse_eia,
 )
@@ -59,6 +56,14 @@ def serialize_egrid(rows):
             ]
         )
     return buf.getvalue()
+
+
+def no_fossil_us_text():
+    """The packaged US snapshot with every state's generation and emissions at 0."""
+    rows = parse_egrid(griddata.read_data(None, griddata.US_DATA_FILE))
+    zeros = dict.fromkeys(griddata.FOSSIL_FUELS, 0.0)
+    return serialize_egrid(
+        [row._replace(generation_mwh=zeros, emissions_kt=zeros) for row in rows])
 
 
 def serialize_eia(records):
@@ -134,7 +139,6 @@ class TestParseEgrid:
         rows = parse_egrid(us_csv(GOOD_STATE))
         row = rows[0]
         assert row.record.id == "us-zz"
-        assert row.record.kind is RegionKind.US_STATE
         assert row.record.group is RegionGroup.US
         assert row.record.direct_rate_lbs_per_mwh == 1000.0
         assert row.generation_mwh["coal"] == 500000
@@ -221,24 +225,8 @@ class TestParseEia:
 
 
 class TestDeriveFuelIntensity:
-    def test_simple_ratio(self):
-        out = derive_fuel_intensity(
-            {"coal": 1_000_000, "oil": 500_000, "natural_gas": 2_000_000},
-            {"coal": 996.0, "oil": 408.5, "natural_gas": 1488.0},
-        )
-        assert out.coal == pytest.approx(996.0)
-        assert out.oil == pytest.approx(817.0)
-        assert out.natural_gas == pytest.approx(744.0)
-        assert out.low_carbon == 0.0
-
-    def test_zero_generation_zero_emissions(self):
-        out = derive_fuel_intensity({"coal": 0.0}, {"coal": 0.0})
-        assert out.coal == 0.0
-
-    def test_zero_generation_with_emissions(self):
-        with pytest.raises(ZeroGeneration):
-            derive_fuel_intensity({"coal": 0.0}, {"coal": 5.0})
-
+    # acceptance criterion 4 derives the per-fuel intensities of the packaged
+    # states; what every mix-only region prices with is pinned here
     def test_canonical_constants(self):
         c = CANONICAL_INTENSITIES
         assert (c.coal, c.oil, c.natural_gas, c.low_carbon) == (996.0, 817.0, 744.0, 0.0)
@@ -260,7 +248,7 @@ class TestEffectiveIntensity:
 class TestSnapshot:
     def test_aggregates_exist(self, snapshot):
         for agg_id in ("us-average", "europe-average", "world-average"):
-            assert snapshot.regions[agg_id].kind is RegionKind.AGGREGATE
+            assert snapshot.regions[agg_id].group is None
 
     def test_world_aggregate_pinned(self, snapshot):
         world = snapshot.regions["world-average"]
@@ -310,6 +298,16 @@ class TestSnapshot:
         with pytest.raises(SchemaError, match="^region id 'de' appears in both snapshots$"):
             DatasetSnapshot.load(str(us), str(intl))
 
+    def test_a_us_snapshot_with_no_fossil_generation_is_rejected(self, tmp_path):
+        # its generation weights the US average, which geolocation falls back to
+        us = tmp_path / "us.csv"
+        us.write_text(no_fossil_us_text())
+        with pytest.raises(
+            SchemaError,
+            match="^no US state reports fossil generation to weight the US average by$",
+        ):
+            DatasetSnapshot.load(str(us))
+
 
 class TestLookup:
     @pytest.mark.parametrize(
@@ -333,7 +331,7 @@ class TestLookup:
     def test_state_shadows_country_by_name(self, snapshot):
         assert snapshot.lookup("georgia").id == "us-ga"
         assert snapshot.lookup("ge").id == "ge"
-        assert snapshot.lookup("ge").kind is RegionKind.COUNTRY
+        assert snapshot.lookup("ge").group is RegionGroup.EUROPE
 
     def test_state_postal_code_needs_us_prefix(self, snapshot):
         assert snapshot.lookup("us-wy") == snapshot.lookup("Wyoming")

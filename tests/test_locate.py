@@ -144,6 +144,13 @@ class TestGeolocation:
         res = resolve_location(snapshot, endpoint=geo_server, environ={})
         assert res.region.id == "us-average"
 
+    @pytest.mark.parametrize("state", ["Germany", "World (average)"])
+    def test_us_with_a_state_that_names_no_us_state_uses_us_average(
+            self, snapshot, geo_server, state):
+        set_geo(country_code="US", region=state)
+        res = resolve_location(snapshot, endpoint=geo_server, environ={})
+        assert res.region.id == "us-average"
+
     def test_country(self, snapshot, geo_server):
         set_geo(country_code="FR")
         res = resolve_location(snapshot, endpoint=geo_server, environ={})
@@ -152,6 +159,13 @@ class TestGeolocation:
 
     def test_unknown_country_falls_back(self, snapshot, geo_server):
         set_geo(country_code="ZZ")
+        res = resolve_location(snapshot, endpoint=geo_server, environ={})
+        assert res.method is ResolutionMethod.DEFAULT_FALLBACK
+        assert res.region.id == "world-average"
+
+    @pytest.mark.parametrize("code", ["us-wy", "europe-average"])
+    def test_a_code_that_names_no_country_falls_back(self, snapshot, geo_server, code):
+        set_geo(country_code=code)
         res = resolve_location(snapshot, endpoint=geo_server, environ={})
         assert res.method is ResolutionMethod.DEFAULT_FALLBACK
         assert res.region.id == "world-average"

@@ -299,7 +299,7 @@ class TestHtmlRendering:
 
 class TestPieChart:
     def test_wedge_angles_proportional(self):
-        svg = pie_chart([("A", 0.25, "#111111"), ("B", 0.75, "#222222")], size=240)
+        svg = pie_chart([("A", 0.25, "#111111"), ("B", 0.75, "#222222")])
         # quarter wedge: 12 o'clock to 3 o'clock, r = 114 around (120, 120)
         assert "M 120.00 120.00 L 120.00 6.00 A 114.00 114.00 0 0 1 234.00 120.00 Z" in svg
         # the rest: large-arc flag set
@@ -318,7 +318,7 @@ class TestPieChart:
     def test_normalizes_sub_unit_total(self):
         # mix summing to 0.999 still closes the circle: the last wedge ends
         # where the first began (12 o'clock)
-        svg = pie_chart([("A", 0.5, "#111111"), ("B", 0.499, "#222222")], size=240)
+        svg = pie_chart([("A", 0.5, "#111111"), ("B", 0.499, "#222222")])
         assert svg.count("120.00 6.00") == 2
 
     def test_needs_positive_fraction(self):
