@@ -15,7 +15,8 @@ Three synthetic aggregate regions are built at load time: us-average
 (generation weighted), europe-average (unweighted mean mix) and
 world-average (pinned global mix and rate).  Each region group is ranked
 once, at load; a group left with no member, or a US snapshot with no fossil
-generation to weight its average by, is a `SchemaError` there.
+generation to weight its average by, or so much that the weighted sums are
+not finite, is a `SchemaError` there.
 """
 
 from __future__ import annotations
@@ -423,6 +424,9 @@ def _build_aggregates(
         weighted_mix = [total + weight * frac for total, frac in zip(weighted_mix, mix)]
     if total_weight <= 0:
         raise SchemaError("no US state reports fossil generation to weight the US average by")
+    # each value is finite, but their weighted sums may not be
+    if not all(map(math.isfinite, (total_weight, weighted_rate, *weighted_mix))):
+        raise SchemaError("the US states' generation is too large to weight the US average by")
     aggregates.append(
         RegionRecord(
             id="us-average",

@@ -25,18 +25,16 @@ its place in its instant.  It reads the first instant, which fixes the
 domains, and it names every error: when a check fails, a record cannot be
 read or the trace ends inside an instant, it reads the rows again from
 that batch on, past it if need be, so the error names the first defect by
-line, as a row-by-row parser would.  The other rows convert per instant.
-The rows of an instant cut by a chunk border are carried, as text, to the
-next chunk's batch, so a batch holds whole instants.  If its instants list
-the domains in another order than the first instant, each instant's
-counters are first put in the first instant's domain order, as text.  A
-batch then converts one `float` per instant, or every timestamp when some
-instant spells its timestamp two ways (`0.5` beside `50e-2`), one `int`
-column per domain (stride slices of the field list) and each distinct
-range text once, and checks them: time strictly increases, the span from
-the first instant is a finite float, counters are in [0, 2^63 - 1] and
-ranges in [1, 2^63 - 1].  No range goes further: a replay folds timestamps
-and counters alone.
+line, as a row-by-row parser would.  The rows of an instant cut by a chunk
+border are carried, as text, to the next chunk's batch, so a batch holds
+whole instants.  A batch in the shape a recorder writes, each instant
+listing the first instant's domain texts in its order, under one timestamp
+text, converts one `float` per instant, one `int` column per domain
+(stride slices of the field list) and each distinct range text once, and
+checks them: time strictly increases, the span from the first instant is a
+finite float, counters are in [0, 2^63 - 1] and ranges in [1, 2^63 - 1].
+Any other batch, and one whose values fail those checks, is read by the
+walk.  No range goes further: a replay folds timestamps and counters alone.
 
 A replay (`TraceSource`) folds each batch's instants (`meter.ColumnFold`)
 as soon as they are checked, carrying only the last one over to pair it
@@ -53,8 +51,8 @@ import io
 import math
 from array import array
 from collections.abc import Iterator
-from itertools import chain, islice, repeat
-from operator import add, lt, mod, sub
+from itertools import chain, islice
+from operator import lt
 from typing import Any, NamedTuple, NoReturn, TextIO
 
 from .meter import ColumnFold
@@ -201,12 +199,13 @@ class _Loader:
 
     One row-by-row walk, `_walk`, reads the first instant, which fixes the
     domains, and names every error.  After it, valid rows form blocks of D
-    rows, D being the size of the first instant: each block shares one
-    timestamp, block timestamps strictly increase, and each block lists the
-    first instant's domains, in any order.  `_whole_instants` converts and
-    checks each batch's whole blocks; the rows after them wait, as text,
-    for the next batch.  When a check fails, the walk reads the rows again
-    from that batch on, to the trace's end if need be.
+    rows, D being the size of the first instant, each an instant.
+    `_whole_instants` takes each batch's whole blocks; the rows after them
+    wait, as text, for the next batch.  Blocks that list the first
+    instant's domain texts in its order, each under one timestamp text,
+    convert as columns; any other batch is read by the walk.  When a check
+    fails, the walk reads the rows again from that batch on, to the trace's
+    end if need be.
     """
 
     def __init__(self) -> None:
@@ -263,42 +262,38 @@ class _Loader:
 
     def _whole_instants(self, fields: list[str], numbers: list[int], whole: int) -> _Instants:
         """The instants of the first `whole` rows, converted and checked.
-        Where rows list the domains in another order than the first
-        instant, their counters are first put in its domain order; then one
-        timestamp converts per instant, unless an instant spells it two
-        ways, and one counter column per domain."""
+        Rows that list the first instant's domain texts, spelled and ordered
+        as it does, under one timestamp text per instant, convert one stamp
+        per instant and one counter column per domain; any other rows, and
+        rows whose values fail a check, are read by the walk."""
         width = len(self.domains)
-        end, stride, blocks = 4 * whole, 4 * width, whole // width
-        rows = fields
-        if fields[1:end:4] != self._spelled * blocks:  # other domain texts
-            domains = list(map(str.strip, fields[1:end:4]))
-            if domains != self.domains * blocks:  # in another order
-                order = _block_order(domains, self.domains)
-                if order is None:
-                    self._fail(fields, numbers)
-                # only the counters need the order: a block's stamps must be equal
-                rows = fields[:end]
-                rows[2:end:4] = map(fields[2:end:4].__getitem__, order)
-        stamp_texts = rows[0:end:stride]
+        end, stride = 4 * whole, 4 * width
+        stamp_texts = fields[0:end:stride]
+        if fields[1:end:4] == self._spelled * (whole // width) and all(
+                fields[j:end:stride] == stamp_texts for j in range(4, stride, 4)):
+            try:
+                stamps = array("d", map(float, stamp_texts))
+                columns = [list(map(int, fields[j:end:stride])) for j in range(2, stride, 4)]
+                ranges = list(map(int, set(fields[3:end:4])))
+            except ValueError:
+                pass
+            else:
+                # time strictly increases from the first instant's stamp, which
+                # is finite, so every stamp is finite if the span to the last is
+                since_last = self._last_stamp + stamps
+                if (all(map(lt, since_last, islice(since_last, 1, None)))
+                        and math.isfinite(stamps[-1] - self._first_stamp)
+                        and all(_in_range(column, 0) for column in columns)
+                        and _in_range(ranges, 1)):
+                    return stamps, columns
         try:
-            stamps = array("d", map(float, stamp_texts))
-            # where an instant spells its timestamp two ways, every stamp converts
-            valid = all(rows[j:end:stride] == stamp_texts for j in range(4, stride, 4)) or all(
-                array("d", map(float, rows[j:end:stride])) == stamps for j in range(4, stride, 4))
-            columns = [list(map(int, rows[j:end:stride])) for j in range(2, stride, 4)]
-            ranges = list(map(int, set(rows[3:end:4])))
-        except ValueError:
-            valid = False
-        else:
-            # time strictly increases from the first instant's stamp, which
-            # is finite, so every stamp is finite if the span to the last is
-            since_last = self._last_stamp + stamps
-            valid = (valid and all(map(lt, since_last, islice(since_last, 1, None)))
-                     and math.isfinite(stamps[-1] - self._first_stamp)
-                     and all(_in_range(column, 0) for column in columns) and _in_range(ranges, 1))
-        if not valid:
+            walk = self._walk(iter([(fields, numbers[:whole], None)]))
+            next(walk)  # the instant carried from the batch before
+            instants = [(stamp, instant) for _, _, stamp, instant in walk]
+        except TraceError:
             self._fail(fields, numbers)
-        return stamps, columns
+        return (array("d", [stamp for stamp, _ in instants]),
+                [[instant[domain][1] for _, instant in instants] for domain in self.domains])
 
     def _fail(self, fields: list[str], numbers: list[int],
               error: TraceError | None = None) -> NoReturn:
@@ -365,21 +360,6 @@ def _check_cover(index: int, group: dict[str, Any], covered: set[str] | None) ->
     if group.keys() != covered:
         raise TraceError(f"instant {index} does not cover domains {sorted(covered)}")
     return covered
-
-
-def _block_order(domains: list[str], ordered: list[str]) -> list[int] | None:
-    """Row indices that list each block of `domains` in the order of
-    `ordered`, or None when some block is not a permutation of it."""
-    width = len(ordered)
-    slot = dict(zip(ordered, range(width)))
-    slots = list(map(slot.get, domains, repeat(width)))
-    if max(slots) >= width:
-        return None
-    rows = range(len(domains))
-    targets = list(map(add, slots, map(sub, rows, map(mod, rows, repeat(width)))))
-    if len(set(targets)) < len(domains):
-        return None
-    return sorted(rows, key=targets.__getitem__)
 
 
 class EnergyCounterReading(NamedTuple):  # one row of a trace

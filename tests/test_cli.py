@@ -17,7 +17,7 @@ import pytest
 from carbonrun import cli, emissions, griddata, meter, report, traces
 
 from conftest import constant_trace, short_tail_trace
-from test_griddata import no_fossil_us_text
+from test_griddata import uniform_generation_us_text
 from test_meter import make_package_tree
 from test_traces import MALFORMED_TRACES, NON_FINITE_ENERGY_TRACES, NON_UTF8_TRACE
 
@@ -249,7 +249,7 @@ class TestExitCodes:
 
     def test_us_data_with_no_fossil_generation_exits_2_before_child(self, trace_file, tmp_path):
         us_data, marker = tmp_path / "no-fossil.csv", tmp_path / "child-ran"
-        us_data.write_text(no_fossil_us_text())
+        us_data.write_text(uniform_generation_us_text(0.0))
         proc = measured_run(trace_file, "--us-data", str(us_data),
                             "--default-region", "us", child=("touch", str(marker)))
         assert (proc.returncode, proc.stdout) == (2, "")
@@ -257,6 +257,20 @@ class TestExitCodes:
             "carbonrun: error: no US state reports fossil generation "
             "to weight the US average by\n")
         assert not marker.exists()
+
+    def test_us_data_whose_weighted_sums_overflow_exits_2_before_child(
+            self, trace_file, tmp_path):
+        # 1e308 MWh per fuel in every state: each value finite, their sums not
+        us_data, marker = tmp_path / "overflow.csv", tmp_path / "child-ran"
+        us_data.write_text(uniform_generation_us_text(1e308))
+        message = ("carbonrun: error: the US states' generation is too large "
+                   "to weight the US average by\n")
+        proc = measured_run(trace_file, "--us-data", str(us_data),
+                            "--default-region", "us", child=("touch", str(marker)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+        assert not marker.exists()
+        proc = run_cli("regions", "--us-data", str(us_data))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
     def test_defect_on_the_last_line_of_a_long_trace_exits_2_before_child(self, tmp_path):
         # the whole file is read before the child starts, however many chunks
@@ -310,6 +324,25 @@ class TestStdioTransparency:
         assert proc.returncode == 2
         assert f"the directory of file {str(out)!r} does not exist" in proc.stderr
         assert not marker.exists()
+
+    # a file that is not writable is refused too, but not for root, which
+    # `os.access` lets write any file
+    @pytest.mark.parametrize("flag,name,problem", [
+        ("--trace", "missing.csv", "does not exist"),
+        ("--trace", "folder", "is a directory"),
+        ("--us-data", "missing.csv", "does not exist"),
+        ("--out", "folder", "is a directory"),
+    ])
+    def test_a_missing_file_or_a_directory_exits_2_before_child(
+            self, trace_file, tmp_path, flag, name, problem):
+        (tmp_path / "folder").mkdir()
+        path = str(tmp_path / name)
+        files = {"--trace": trace_file, flag: path}
+        proc = run_cli("run", "--offline", *[a for item in files.items() for a in item],
+                       "--", "echo", "the child ran")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.endswith(
+            f"\ncarbonrun run: error: argument {flag}: file {path!r} {problem}\n")
 
     def test_empty_out_exits_2_before_child(self, trace_file, tmp_path):
         marker = tmp_path / "child-ran"

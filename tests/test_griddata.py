@@ -58,12 +58,14 @@ def serialize_egrid(rows):
     return buf.getvalue()
 
 
-def no_fossil_us_text():
-    """The packaged US snapshot with every state's generation and emissions at 0."""
+def uniform_generation_us_text(mwh):
+    """The packaged US snapshot with every state's generation of each fuel at
+    `mwh` and its emissions at 0."""
     rows = parse_egrid(griddata.read_data(None, griddata.US_DATA_FILE))
+    generation = dict.fromkeys(griddata.FOSSIL_FUELS, mwh)
     zeros = dict.fromkeys(griddata.FOSSIL_FUELS, 0.0)
     return serialize_egrid(
-        [row._replace(generation_mwh=zeros, emissions_kt=zeros) for row in rows])
+        [row._replace(generation_mwh=generation, emissions_kt=zeros) for row in rows])
 
 
 def serialize_eia(records):
@@ -301,10 +303,20 @@ class TestSnapshot:
     def test_a_us_snapshot_with_no_fossil_generation_is_rejected(self, tmp_path):
         # its generation weights the US average, which geolocation falls back to
         us = tmp_path / "us.csv"
-        us.write_text(no_fossil_us_text())
+        us.write_text(uniform_generation_us_text(0.0))
         with pytest.raises(
             SchemaError,
             match="^no US state reports fossil generation to weight the US average by$",
+        ):
+            DatasetSnapshot.load(str(us))
+
+    def test_a_us_snapshot_whose_weighted_sums_overflow_is_rejected(self, tmp_path):
+        # each generation figure is a finite float, but their sums are not
+        us = tmp_path / "us.csv"
+        us.write_text(uniform_generation_us_text(1e308))
+        with pytest.raises(
+            SchemaError,
+            match="^the US states' generation is too large to weight the US average by$",
         ):
             DatasetSnapshot.load(str(us))
 

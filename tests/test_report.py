@@ -97,7 +97,10 @@ class TestTextRendering:
             summary, resolution, snapshot, load_equivalency_factors(),
             command="true", generated_at=FROZEN_TIME,
         )
-        assert "clamped" in render_text(doc)
+        assert ("\n    Note: baseline exceeded total wattage; process power clamped to 0.\n"
+                in render_text(doc))
+        assert (b"<p class='note'>Baseline exceeded total wattage; process power clamped to 0.</p>"
+                in render_html(doc))
 
     def test_zero_energy_structure_intact(self, snapshot):
         summary = MeasurementSummary(
@@ -184,21 +187,28 @@ class TestJsonRendering:
             parse_report_json(json.dumps(payload))
 
     @pytest.mark.parametrize(
-        "section,key,value",
+        "section,key,value,message",
         [
-            ("summary", "kg_co2", "lots"),
-            ("header", "arguments", ["a", ["b"]]),
-            ("header", "command", None),
-            ("readings", "measured_kwh", True),
-            ("readings", "negative_clamped", 0),
-            ("mix", "coal", "0.5"),
+            ("summary", "kg_co2", "lots", "expected float, got 'lots'"),
+            ("header", "arguments", ["a", ["b"]], "expected str, got ['b']"),
+            ("header", "command", None, "expected str, got None"),
+            ("readings", "measured_kwh", True, "expected float, got True"),
+            ("readings", "negative_clamped", 0, "expected bool, got 0"),
+            ("mix", "coal", "0.5", "expected float, got '0.5'"),
+            ("header", "arguments", {"a": "b"}, "expected a list, got {'a': 'b'}"),
+            ("comparisons", 0, ["us"], "ComparisonPanel: expected an object, got ['us']"),
+            ("comparisons", 1, "us", "ComparisonPanel: expected an object, got 'us'"),
         ],
+        ids=["summary-kg_co2-lots", "header-arguments-value1", "header-command-None",
+             "readings-measured_kwh-True", "readings-negative_clamped-0", "mix-coal-0.5",
+             "header-arguments-object", "comparisons-0-list", "comparisons-1-str"],
     )
-    def test_parse_rejects_a_value_of_the_wrong_type(self, section, key, value):
+    def test_parse_rejects_a_value_of_the_wrong_type(self, section, key, value, message):
         payload = json.loads((GOLDEN_DIR / "report.json").read_bytes())
         payload[section][key] = value
-        with pytest.raises(ValueError, match="expected"):
+        with pytest.raises(ValueError) as err:
             parse_report_json(json.dumps(payload))
+        assert str(err.value) == message
 
     def test_render_refuses_a_number_json_cannot_hold(self, doc):
         huge = doc._replace(summary=doc.summary._replace(kg_co2=float("inf")))

@@ -5,6 +5,7 @@ import os
 import random
 import tempfile
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -381,6 +382,12 @@ def _irregular(kind, rows, at):
     elif kind == "reordered_respelled":  # a reordered instant with a stamp respelled
         _irregular("reordered_instant", rows, at)
         _irregular("timestamp_spelling", rows, at)
+    elif kind == "reordered_every_second_chunk":  # walked and fast batches alternate
+        text = "".join(",".join(r) + "\n" for r in rows)
+        starts = list(accumulate(chunk.count("\n") for chunk in traces._chunks(io.StringIO(text))))
+        # an instant inside each of chunks 1, 3, 5 ..., clear of its first line
+        for start in starts[:-1:2]:
+            _irregular("reordered_instant", rows, start + len(DOMAINS) + at % len(DOMAINS))
     elif kind == "quoted_field":
         row[2] = f'"{row[2]}"'
     else:  # a blank line
@@ -388,7 +395,8 @@ def _irregular(kind, rows, at):
 
 
 IRREGULARITIES = ("padded_domain", "reordered_instant", "timestamp_spelling",
-                  "reordered_respelled", "quoted_field", "blank_line")
+                  "reordered_respelled", "reordered_every_second_chunk", "quoted_field",
+                  "blank_line")
 
 
 @pytest.mark.parametrize("kind", IRREGULARITIES + DEFECTS)
@@ -407,6 +415,29 @@ def test_an_irregularity_at_a_chunk_border_reads_as_row_by_row(kind):
         assert isinstance(expected, str) == (kind in DEFECTS), expected
         assert _outcome(_replay_csv, text) == expected
         assert _outcome(parse_trace, text) == _outcome(reference_parse, text)
+
+
+def test_only_the_first_instant_of_a_plain_trace_is_walked(monkeypatch):
+    # equal totals alone would pass a loader that walks every batch
+    clean, cut = _border_rows()
+    reordered = [list(row) for row in clean]
+    _irregular("reordered_every_second_chunk", reordered, cut)
+    chunks = len(list(traces._chunks(io.StringIO("".join(",".join(r) + "\n" for r in clean)))))
+    assert chunks > 10
+    walks = []
+    walk = traces._Loader._walk
+
+    def counting(self, batches):
+        walks.append(1)
+        return walk(self, batches)
+
+    monkeypatch.setattr(traces._Loader, "_walk", counting)
+    # the first instant, then each batch holding a reordered instant
+    for rows, expected in ((clean, 1), (reordered, 1 + chunks // 2)):
+        text = "".join(",".join(row) + "\n" for row in rows)
+        del walks[:]
+        assert totals(TraceSource.from_csv(text)) == reference_totals(text)
+        assert len(walks) == expected
 
 
 def _jittered_trace(instants, seed):
