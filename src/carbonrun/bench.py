@@ -4,11 +4,16 @@ Each workload is a busy loop of integer additions: `n` work units for the
 linear shape, `n^2` for quadratic, `2^n` for exponential, at 50 million
 additions per unit by default.  Known shapes make it possible to check that
 measured energy grows with work actually done.
+
+`python -m carbonrun.bench SHAPE N UNIT_OPS` runs one workload and prints
+its checksum.  `carbonrun bench` measures that child, which loads neither
+the CLI nor its imports.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from enum import Enum
 from typing import NamedTuple
 
@@ -76,3 +81,13 @@ def run_workload(spec: WorkloadSpec) -> int:
             acc += 1
         remaining -= chunk
     return acc
+
+
+if __name__ == "__main__":
+    try:
+        shape, n, unit_ops = sys.argv[1:]
+        spec = WorkloadSpec(WorkloadShape(shape), int(n), int(unit_ops))
+    except (ValueError, GuardExceeded) as exc:
+        print(f"carbonrun: error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    print(f"checksum {run_workload(spec)}")

@@ -18,7 +18,7 @@ import sys
 from typing import NoReturn
 
 from . import __version__
-from .bench import GuardExceeded, WorkloadShape, WorkloadSpec, run_workload
+from .bench import GuardExceeded, WorkloadShape, WorkloadSpec
 from .emissions import RANKS, EquivalencyError, load_equivalency_factors
 from .griddata import DatasetSnapshot, RegionGroup, SchemaError, UnknownRegion
 from .locate import DEFAULT_CHOICES, resolve_location
@@ -233,17 +233,13 @@ def cmd_regions(options: argparse.Namespace) -> int:
     return 0
 
 
-def _workload_spec(options: argparse.Namespace) -> WorkloadSpec:
-    return WorkloadSpec(WorkloadShape(options.shape), options.n, options.unit_ops)
-
-
 def cmd_bench(options: argparse.Namespace) -> int:
     try:
-        spec = _workload_spec(options)
+        spec = WorkloadSpec(WorkloadShape(options.shape), options.n, options.unit_ops)
     except GuardExceeded as exc:
         return _fail(str(exc))
-    argv = [sys.executable, "-m", "carbonrun", "workload", spec.shape.value, str(spec.n),
-            "--unit-ops", str(spec.unit_ops)]
+    argv = [sys.executable, "-m", "carbonrun.bench", spec.shape.value, str(spec.n),
+            str(spec.unit_ops)]
     code, doc = run_measured(argv, options)
     if doc is not None:
         print(
@@ -252,16 +248,6 @@ def cmd_bench(options: argparse.Namespace) -> int:
             f"{doc.readings.duration_s:.2f} s"
         )
     return code
-
-
-def cmd_workload(options: argparse.Namespace) -> int:
-    """Run a bench workload in-process (spawned by `bench`)."""
-    try:
-        checksum = run_workload(_workload_spec(options))
-    except GuardExceeded as exc:
-        return _fail(str(exc))
-    print(f"checksum {checksum}")
-    return 0
 
 
 def _existing_file(path: str) -> str:
@@ -321,14 +307,6 @@ def _add_data_options(parser: argparse.ArgumentParser) -> None:
                         help="Override the embedded country snapshot CSV.")
 
 
-def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("shape", choices=[s.value for s in WorkloadShape], metavar="SHAPE")
-    parser.add_argument("n", type=int, metavar="N")
-    parser.add_argument("--unit-ops", type=int, metavar="INT",
-                        default=WorkloadSpec._field_defaults["unit_ops"],
-                        help="Additions per work unit (default 50,000,000).")
-
-
 def _parser(prog_name: str) -> argparse.ArgumentParser:
     """The command line; each subcommand sets `handler`, which returns the exit code."""
     def command(name, handler, description=None, **kwargs):
@@ -345,9 +323,7 @@ def _parser(prog_name: str) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"carbonrun, version {__version__}",
                         help="Show the version and exit.")
     parser.add_argument("--help", action="help", help="Show this message and exit.")
-    # `workload` is left out of the listing: only `bench` spawns it
-    commands = parser.add_subparsers(
-        title="commands", metavar="{run,regions,bench}", required=True)
+    commands = parser.add_subparsers(title="commands", required=True)
 
     run = command("run", cmd_run, RUN_DESCRIPTION, help="Run COMMAND under energy measurement.")
     _add_measurement_options(run)
@@ -363,10 +339,12 @@ def _parser(prog_name: str) -> argparse.ArgumentParser:
 
     bench = command("bench", cmd_bench, BENCH_DESCRIPTION,
                     help="Measure a synthetic SHAPE workload of size N.")
-    _add_workload_arguments(bench)
+    bench.add_argument("shape", choices=[s.value for s in WorkloadShape], metavar="SHAPE")
+    bench.add_argument("n", type=int, metavar="N")
+    bench.add_argument("--unit-ops", type=int, metavar="INT",
+                       default=WorkloadSpec._field_defaults["unit_ops"],
+                       help="Additions per work unit (default 50,000,000).")
     _add_measurement_options(bench)
-
-    _add_workload_arguments(command("workload", cmd_workload))
     return parser
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import signal
 import urllib.request
 from enum import Enum
 from typing import NamedTuple
@@ -21,6 +22,7 @@ from .griddata import DatasetSnapshot, RegionGroup, RegionRecord, UnknownRegion
 ENV_REGION = "ENERGYUSAGE_REGION"
 GEO_ENDPOINT = "https://get.geojs.io"
 GEO_TIMEOUT_S = 3.0
+GEO_MAX_BYTES = 64 * 1024  # a longer reply is no geolocation answer
 
 DEFAULT_CHOICES = {
     "world": "world-average",
@@ -88,15 +90,38 @@ def resolve_location(
 def _geolocate(
     snapshot: DatasetSnapshot, endpoint: str, timeout_s: float
 ) -> LocationResolution | None:
-    """Map the caller's public IP to a snapshot region, or None on failure."""
+    """Map the caller's public IP to a snapshot region, or None on failure.
+
+    The socket timeout bounds each read and an `ITIMER_REAL` alarm the
+    whole request, connect to last byte, so a reply that trickles in cannot
+    hold the run.  The alarm needs the main thread, where carbonrun resolves
+    before its child starts, and cannot cut short the name lookup.
+    """
+    def expire(signum, frame):
+        raise TimeoutError
+
     url = endpoint.rstrip("/") + "/v1/ip/geo.json"
+    previous = signal.signal(signal.SIGALRM, expire)
     try:
-        # a status >= 400 raises HTTPError, an OSError; a malformed reply
-        # raises HTTPException, which urllib does not wrap
-        with urllib.request.urlopen(url, timeout=timeout_s) as response:
-            payload = json.loads(response.read())
+        try:
+            signal.setitimer(signal.ITIMER_REAL, timeout_s)
+            # a status >= 400 raises HTTPError, an OSError; a malformed reply
+            # raises HTTPException, which urllib does not wrap
+            with urllib.request.urlopen(url, timeout=timeout_s) as response:
+                body = response.read(GEO_MAX_BYTES + 1)
+                # a capped read returns a body cut short of its Content-Length;
+                # reading on raises IncompleteRead
+                if len(body) > GEO_MAX_BYTES or response.read():
+                    return None
+            payload = json.loads(body)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
     except (OSError, http.client.HTTPException, ValueError):
+        # TimeoutError, the alarm's, is an OSError; it can also fire
+        # before `setitimer` above disarms it, never after
         return None
+    finally:
+        signal.signal(signal.SIGALRM, previous)
     if not isinstance(payload, dict):
         return None
     country_code = str(payload.get("country_code") or "").strip()

@@ -167,7 +167,13 @@ def _csv_fields(chunk: str, fh: TextIO,
     if a record is not four fields or `csv.reader` cannot read it, its
     error: the rows end before it.  Blank lines and a header on record 1
     are skipped."""
-    lines = io.StringIO(chunk).readlines()
+    # each line keeps its break, which `csv.reader` reads inside a quoted
+    # field; `io.StringIO` would copy the chunk at 4 bytes per character
+    lines = [line + "\n" for line in chunk.split("\n")]
+    if chunk.endswith("\n"):
+        lines.pop()  # the empty text after the last break
+    else:
+        lines[-1] = lines[-1][:-1]
     reader = csv.reader(chain(lines, fh))
     fields: list[str] = []
     numbers: list[int] = []

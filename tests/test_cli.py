@@ -24,6 +24,8 @@ from test_traces import MALFORMED_TRACES, NON_FINITE_ENERGY_TRACES, NON_UTF8_TRA
 CLI = [sys.executable, "-m", "carbonrun"]
 # `cli.main` as a program of its own, ending in a full interpreter shutdown
 MAIN = [sys.executable, "-c", "from carbonrun.cli import main; main()"]
+# the child `carbonrun bench` measures
+BENCH_CHILD = [sys.executable, "-m", "carbonrun.bench"]
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
 REGIONS_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "regions.txt")
 
@@ -857,8 +859,30 @@ class TestBenchCommand:
         assert "checksum" in proc.stdout  # workload child output
         assert "bench linear n=2" in proc.stdout  # summary line
         assert "Energy Usage Report" in proc.stderr
+        line = next(line for line in proc.stderr.splitlines() if "for the command `" in line)
+        assert line.endswith(" -m carbonrun.bench linear 2 1000`.")
 
     def test_workload_checksum_line(self):
-        proc = run_cli("workload", "linear", "1", "--unit-ops", "500")
+        proc = run_cli("linear", "1", "500", entry=BENCH_CHILD)
         assert proc.returncode == 0
-        assert proc.stdout.startswith("checksum ")
+        assert re.fullmatch(r"checksum \d+\n", proc.stdout)
+
+    def test_bench_module_guard_exit_2(self):
+        proc = run_cli("exp", "31", "1", entry=BENCH_CHILD)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("carbonrun: error: exp workloads are capped at n=30 "
+                               "(2^31 units would never finish)\n")
+
+    def test_bench_module_loads_neither_the_cli_nor_http(self):
+        proc = run_cli("-X", "importtime", "-m", "carbonrun.bench", "linear", "0", "1",
+                       entry=[sys.executable])
+        assert proc.returncode == 0
+        imported = {line.rsplit("|", 1)[1].strip()
+                    for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        assert "carbonrun.records" in imported  # the listing is read
+        assert not imported & {"carbonrun.cli", "http.client"}
+
+    def test_the_workload_subcommand_is_gone(self):
+        proc = run_cli("workload", "linear", "1")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "invalid choice: 'workload'" in proc.stderr

@@ -191,13 +191,21 @@ class TestParseEia:
     def test_defunct_entities_dropped(self):
         recs = parse_eia(
             intl_csv(
-                "su,Former U.S.S.R.,false,0.5,0.1,0.2,0.2",
-                "yu,Former Yugoslavia,true,0.5,0.1,0.2,0.2",
+                # in any case, with any spaces around the name
+                "su, Former U.S.S.R. ,false,0.5,0.1,0.2,0.2",
+                "yu,FORMER YUGOSLAVIA,true,0.5,0.1,0.2,0.2",
                 "ht,Hawaiian Trade Zone,false,0.5,0.1,0.2,0.2",
                 "zz,Testland,false,0.5,0.1,0.2,0.2",
             )
         )
         assert [r.id for r in recs] == ["zz"]
+
+    @pytest.mark.parametrize("excluded_first", [True, False])
+    def test_an_excluded_row_is_dropped_before_the_duplicate_id_check(self, excluded_first):
+        rows = ["zz, Former U.S.S.R. ,false,0.5,0.1,0.2,0.2",
+                "zz,Testland,false,0.5,0.1,0.2,0.2"]
+        recs = parse_eia(intl_csv(*(rows if excluded_first else rows[::-1])))
+        assert [r.display_name for r in recs] == ["Testland"]
 
     def test_negligible_negative_clamped(self):
         recs = parse_eia(intl_csv("zz,Testland,false,0.5,-1e-12,0.3,0.2"))

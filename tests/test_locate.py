@@ -1,5 +1,6 @@
 import contextlib
 import json
+import signal
 import socket
 import threading
 import time
@@ -8,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from carbonrun.griddata import UnknownRegion
-from carbonrun.locate import ResolutionMethod, resolve_location
+from carbonrun.locate import GEO_MAX_BYTES, ResolutionMethod, resolve_location
 
 
 class GeoHandler(BaseHTTPRequestHandler):
@@ -62,9 +63,10 @@ DEAD_ENDPOINT = "http://127.0.0.1:1"
 
 
 @contextlib.contextmanager
-def raw_server(reply):
-    """Answer one request with the bytes `reply`, or hold the connection
-    open without answering when `reply` is None; yields the endpoint."""
+def raw_server(reply, trickle=b"", drip_s=0.05):
+    """Answer one request with the bytes `reply`, then the bytes `trickle`
+    one every `drip_s` seconds, or hold the connection open without
+    answering when `reply` is None; yields the endpoint."""
     release = threading.Event()
     with socket.create_server(("127.0.0.1", 0)) as listener:
         listener.settimeout(10)
@@ -75,8 +77,15 @@ def raw_server(reply):
                 conn.recv(65536)
                 if reply is None:
                     release.wait(10)
-                else:
+                    return
+                try:
                     conn.sendall(reply)
+                    for i in range(len(trickle)):
+                        if release.wait(drip_s):
+                            break
+                        conn.sendall(trickle[i:i + 1])
+                except OSError:
+                    pass  # the client gave up on the reply
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
@@ -85,6 +94,21 @@ def raw_server(reply):
         finally:
             release.set()
             thread.join(10)
+
+
+def http_reply(body, length=True):
+    """A 200 reply carrying `body`, with its Content-Length or, if not
+    `length`, ended by closing the connection."""
+    head = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    if length:
+        head += b"Content-Length: %d\r\n" % len(body)
+    return head + b"\r\n" + body
+
+
+def padded_fr_body(size):
+    """A geolocation answer for France of `size` bytes."""
+    body = b'{"country_code": "FR", "pad": ""}'
+    return body[:-2] + b"x" * (size - len(body)) + body[-2:]
 
 
 class TestExplicitAndEnv:
@@ -180,21 +204,47 @@ class TestGeolocation:
         res = resolve_location(snapshot, endpoint=geo_server, environ={})
         assert res.method is ResolutionMethod.DEFAULT_FALLBACK
 
-    @pytest.mark.parametrize("reply", [
-        pytest.param(b"garbage\r\n\r\n", id="bad-status-line"),
+    @pytest.mark.parametrize("reply,trickle", [
+        pytest.param(b"garbage\r\n\r\n", b"", id="bad-status-line"),
         pytest.param(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
-                     b"Content-Length: 100\r\n\r\n{\"country_code\": \"FR\"}",
+                     b"Content-Length: 100\r\n\r\n{\"country_code\": \"FR\"}", b"",
                      id="body-shorter-than-content-length"),
-        pytest.param(None, id="stalled-past-timeout"),
+        pytest.param(None, b"", id="stalled-past-timeout"),
+        # a byte every 50 ms, well within the socket timeout; the whole
+        # reply would take over six times the timeout
+        pytest.param(b"", http_reply(padded_fr_body(64)), id="trickled-headers"),
+        pytest.param(http_reply(padded_fr_body(64))[:-64], padded_fr_body(64),
+                     id="trickled-body"),
+        pytest.param(http_reply(padded_fr_body(GEO_MAX_BYTES + 1)), b"", id="over-the-cap"),
+        pytest.param(http_reply(padded_fr_body(GEO_MAX_BYTES + 1), length=False), b"",
+                     id="over-the-cap-until-close"),
     ])
-    def test_broken_reply_falls_back(self, snapshot, reply):
-        with raw_server(reply) as endpoint:
+    def test_broken_reply_falls_back(self, snapshot, reply, trickle):
+        timeout_s = 0.5
+        with raw_server(reply, trickle) as endpoint:
             started = time.monotonic()
-            res = resolve_location(snapshot, endpoint=endpoint, timeout_s=0.3, environ={})
+            res = resolve_location(snapshot, endpoint=endpoint, timeout_s=timeout_s,
+                                   environ={})
             elapsed = time.monotonic() - started
         assert res.method is ResolutionMethod.DEFAULT_FALLBACK
         assert res.region.id == "world-average"
-        assert elapsed < 5
+        assert elapsed < 2 * timeout_s
+
+    @pytest.mark.parametrize("length", [True, False], ids=["content-length", "until-close"])
+    def test_a_reply_at_the_cap_is_read(self, snapshot, length):
+        with raw_server(http_reply(padded_fr_body(GEO_MAX_BYTES), length)) as endpoint:
+            res = resolve_location(snapshot, endpoint=endpoint, environ={})
+        assert res.region.id == "fr"
+        assert res.method is ResolutionMethod.GEOLOCATION
+
+    def test_the_alarm_handler_is_put_back(self, snapshot, geo_server):
+        before = signal.getsignal(signal.SIGALRM)
+        set_geo(country_code="FR")
+        resolve_location(snapshot, endpoint=geo_server, environ={})
+        with raw_server(None) as endpoint:
+            resolve_location(snapshot, endpoint=endpoint, timeout_s=0.3, environ={})
+        assert signal.getsignal(signal.SIGALRM) is before
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
     def test_unreachable_endpoint_falls_back(self, snapshot):
         res = resolve_location(
