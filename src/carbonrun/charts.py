@@ -39,7 +39,9 @@ def pie_chart(slices: list[tuple[str, float, str]]) -> str:
     are normalized so a mix summing to 0.999 still closes the circle; a
     slice covering everything degenerates to a plain circle.
     """
-    total = sum(max(f, 0.0) for _, f, _ in slices)
+    total = 0.0  # a loop, not sum(): from Python 3.12 sum() compensates float rounding
+    for _, fraction, _ in slices:
+        total += max(fraction, 0.0)
     if total <= 0:
         raise ValueError("pie chart needs at least one positive fraction")
     size = PIE_SIZE

@@ -143,14 +143,17 @@ def run_measured(
     except EmptyProcessSamples as exc:
         return _fail(str(exc), exit_code), None
 
-    doc = build_report(
-        summary,
-        resolution,
-        snapshot,
-        factors,
-        command=argv[0],
-        arguments=tuple(argv[1:]),
-    )
+    try:
+        doc = build_report(
+            summary,
+            resolution,
+            snapshot,
+            factors,
+            command=argv[0],
+            arguments=tuple(argv[1:]),
+        )
+    except ValueError as exc:
+        return _fail(str(exc), exit_code), None
     try:
         _emit(doc, options.fmt, options.out, options.report_to)
     except OSError as exc:

@@ -418,7 +418,10 @@ def _build_aggregates(
         fossil_frac = mix.coal + mix.oil + mix.natural_gas
         if fossil_frac <= 0:
             continue
-        weight = sum(row.generation_mwh.values()) / fossil_frac
+        generation = 0.0  # a loop, not sum(), as in `weighted_kg_per_mwh`
+        for mwh in row.generation_mwh.values():
+            generation += mwh
+        weight = generation / fossil_frac
         total_weight += weight
         weighted_rate += weight * row.record.direct_rate_lbs_per_mwh
         weighted_mix = [total + weight * frac for total, frac in zip(weighted_mix, mix)]
@@ -438,12 +441,14 @@ def _build_aggregates(
 
     # load has checked that Europe has members
     europe = [c for c in countries if c.group is RegionGroup.EUROPE]
-    mean_mix = [sum(shares) / len(europe) for shares in zip(*(c.mix for c in europe))]
+    summed_mix = [0.0] * len(FUELS)
+    for country in europe:
+        summed_mix = [total + share for total, share in zip(summed_mix, country.mix)]
     aggregates.append(
         RegionRecord(
             id="europe-average",
             display_name="Europe (average)",
-            mix=EnergyMix(*mean_mix),
+            mix=EnergyMix(*(total / len(europe) for total in summed_mix)),
             direct_rate_lbs_per_mwh=None,
         )
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from datetime import datetime, timezone
 from typing import NamedTuple, NoReturn, get_args, get_origin, get_type_hints
 
@@ -105,11 +106,22 @@ def build_report(
     """Compute every derived section from a finished measurement.
 
     Emissions are charged on the wall-side (PSU-adjusted) energy: that is
-    what the grid actually had to deliver.
+    what the grid actually had to deliver.  A kg CO2, equivalent or
+    comparison figure that is not a finite float raises `ValueError`: no
+    report could give it.
     """
     region = resolution.region
     intensity = region.kg_co2_per_kwh
     kg_co2 = summary.adjusted_kwh * intensity
+    equivalents = equivalents_for(kg_co2, factors)
+    comparisons = comparison_sets(summary.adjusted_kwh, snapshot)
+    figures = {"kg_co2": kg_co2, **equivalents._asdict(),
+               **{f"kg_co2 in {row.region_id}": row.kg_co2
+                  for panel in comparisons for row in panel.rows}}
+    for name, value in figures.items():
+        if not math.isfinite(value):
+            raise ValueError(f"the report's {name} is {value!r}, not a finite number; "
+                             "nothing to report")
     if generated_at is None:
         generated_at = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     return ReportDocument(
@@ -129,8 +141,8 @@ def build_report(
             intensity_kg_per_kwh=intensity,
         ),
         assumptions=CANONICAL_INTENSITIES,
-        equivalents=equivalents_for(kg_co2, factors),
-        comparisons=comparison_sets(summary.adjusted_kwh, snapshot),
+        equivalents=equivalents,
+        comparisons=comparisons,
         resolution=ResolutionInfo(
             method=resolution.method.value,
             region_id=region.id,

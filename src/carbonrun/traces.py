@@ -22,19 +22,21 @@ about three times as fast: that is nearly every chunk of a recorded trace.
 
 One walk reads rows one at a time, in line order: each row's values, then
 its place in its instant.  It reads the first instant, which fixes the
-domains, and it names every error: when a check fails, a record cannot be
-read or the trace ends inside an instant, it reads the rows again from
-that batch on, past it if need be, so the error names the first defect by
-line, as a row-by-row parser would.  The rows of an instant cut by a chunk
-border are carried, as text, to the next chunk's batch, so a batch holds
-whole instants.  A batch in the shape a recorder writes, each instant
-listing the first instant's domain texts in its order, under one timestamp
-text, converts one `float` per instant, one `int` column per domain
-(stride slices of the field list) and each distinct range text once, and
-checks them: time strictly increases, the span from the first instant is a
-finite float, counters are in [0, 2^63 - 1] and ranges in [1, 2^63 - 1].
-Any other batch, and one whose values fail those checks, is read by the
-walk.  No range goes further: a replay folds timestamps and counters alone.
+domains.  The rows of an instant cut by a chunk border are carried, as
+text, to the next chunk's batch, so a batch holds whole instants.  A batch
+in the shape a recorder writes, each instant listing the first instant's
+domain texts in its order, under one timestamp text, converts one `float`
+per instant, one `int` column per domain (stride slices of the field list)
+and each distinct range text once, and checks them: time strictly
+increases, the span from the first instant is a finite float, counters are
+in [0, 2^63 - 1] and ranges in [1, 2^63 - 1].  The first batch in any
+other shape, whose values fail those checks or that ends in a record
+error, and the rows of a trace that ends inside an instant, hand the rest
+of the trace to the walk: it reads on from there to the end, a batch at a
+time, and names the first defect by line, as a row-by-row parser would.
+The hand-off is one-way, so the rest of an irregular trace reads 2 to 2.5
+times slower; a trace as a recorder writes it never is.  No range goes
+further: a replay folds timestamps and counters alone.
 
 A replay (`TraceSource`) folds each batch's instants (`meter.ColumnFold`)
 as soon as they are checked, carrying only the last one over to pair it
@@ -51,9 +53,9 @@ import io
 import math
 from array import array
 from collections.abc import Iterator
-from itertools import chain, islice
-from operator import lt
-from typing import Any, NamedTuple, NoReturn, TextIO
+from itertools import chain, groupby, islice
+from operator import itemgetter, lt
+from typing import Any, NamedTuple, TextIO
 
 from .meter import ColumnFold
 
@@ -204,14 +206,13 @@ class _Loader:
     their whole instants, converted.
 
     One row-by-row walk, `_walk`, reads the first instant, which fixes the
-    domains, and names every error.  After it, valid rows form blocks of D
-    rows, D being the size of the first instant, each an instant.
-    `_whole_instants` takes each batch's whole blocks; the rows after them
-    wait, as text, for the next batch.  Blocks that list the first
-    instant's domain texts in its order, each under one timestamp text,
-    convert as columns; any other batch is read by the walk.  When a check
-    fails, the walk reads the rows again from that batch on, to the trace's
-    end if need be.
+    domains.  After it, valid rows form blocks of D rows, D being the size
+    of the first instant, each an instant.  `read` takes each batch's whole
+    blocks; the rows after them wait, as text, for the next batch.  Blocks
+    that list the first instant's domain texts in its order, each under one
+    timestamp text, convert as columns.  From the first batch that does
+    not, fails a value check or ends in a record error, or from rows still
+    waiting at the trace's end, the walk reads to the end, one-way.
     """
 
     def __init__(self) -> None:
@@ -220,105 +221,92 @@ class _Loader:
         self.instants = 0  # checked so far
         self._first_stamp = 0.0  # of the first instant
         self._last_stamp = array("d")  # of the last instant checked
-        self._held: tuple[list[str], list[int]] = [], []  # the rows waiting for the next batch
-        self._batches: Iterator[_Batch] = iter(())  # the batches not yet read
 
     def read(self, fh: TextIO) -> Iterator[_Instants]:
         """The instants of the trace text of `fh`, checked, a batch at a time."""
-        self._batches = _batches(fh)
-        batch, at, stamp, instant = next(self._walk(self._batches))
+        batches = _batches(fh)
+        batch, at, stamp, instant = next(self._walk(batches))
         self.domains = list(instant)
         self._spelled = [spelled for spelled, _, _ in instant.values()]
         self._last_stamp = array("d", [stamp])
         self.instants = 1
         yield self._last_stamp, [[counter] for _, counter, _ in instant.values()]
         del instant, batch[0][:4 * at], batch[1][:at]  # hold the first instant no more
+        width = len(self.domains)
+        held_fields: list[str] = []  # the rows after the last whole instant, for the next batch
+        held_numbers: list[int] = []
         while batch:  # the rest of its batch, then each batch after it
-            if instants := self.add(batch):
+            fields, numbers, error = batch
+            if len(held_numbers) > len(numbers):  # a wide instant: append, not copy its rows again
+                held_fields += fields
+                held_numbers += numbers
+                fields, numbers = held_fields, held_numbers
+            else:  # a short tail: prepend, not copy the batch
+                fields[:0] = held_fields
+                numbers[:0] = held_numbers
+            whole = len(numbers) - len(numbers) % width  # the rows of whole instants
+            if error is not None or whole and (
+                    instants := self._whole_instants(fields, whole)) is None:
+                break
+            held_fields, held_numbers = fields[4 * whole:], numbers[whole:]
+            del fields, numbers  # while the instants fold, hold only the rows waiting
+            if whole:
+                self.instants += len(instants[0])
+                self._last_stamp = instants[0][-1:]
                 yield instants
-            batch = next(self._batches, None)
-        if self._held[1]:  # the trace ends inside an instant
-            self._fail(*self._held)
+                del instants  # nor the instants, while the next rows gather
+            batch = next(batches, None)
+        else:  # every batch is read; rows still waiting end the trace inside an instant
+            if not held_numbers:
+                return
+            fields, numbers, error = held_fields, held_numbers, None
+        # the walk reads the rest, a batch of instants per source batch (`chain` keeps its
+        # arguments, but an exhausted list iterator lets go of its list)
+        walk = self._walk(chain(iter([(fields, numbers, error)]), batches))
+        del batch, fields, numbers, held_fields, held_numbers  # the walk alone holds them
+        next(walk)  # the last instant checked, carried into the batch
+        for _, steps in groupby(walk, itemgetter(0)):
+            instants = [(stamp, instant) for _, _, stamp, instant in steps]
+            yield (array("d", [stamp for stamp, _ in instants]),
+                   [[instant[domain][1] for _, instant in instants] for domain in self.domains])
 
-    def add(self, batch: _Batch) -> _Instants | None:
-        """Check a batch of rows, after the rows waiting from earlier
-        batches; return its whole instants, if any."""
-        fields, numbers, error = batch
-        held_fields, held_numbers = self._held
-        if len(held_numbers) > len(numbers):  # a wide instant: append, not copy its rows again
-            held_fields += fields
-            held_numbers += numbers
-            fields, numbers = held_fields, held_numbers
-        else:  # a short tail: prepend, not copy the batch
-            fields[:0] = held_fields
-            numbers[:0] = held_numbers
-        if error is not None:
-            self._fail(fields, numbers, error)
-        rows = len(numbers)
-        whole = rows - rows % len(self.domains)  # the rows of whole blocks
-        if not whole:
-            self._held = fields, numbers
-            return None
-        self._held = fields[4 * whole:], numbers[whole:]
-        instants = self._whole_instants(fields, numbers, whole)
-        stamps = instants[0]
-        self.instants += len(stamps)
-        self._last_stamp = stamps[-1:]
-        return instants
-
-    def _whole_instants(self, fields: list[str], numbers: list[int], whole: int) -> _Instants:
-        """The instants of the first `whole` rows, converted and checked.
-        Rows that list the first instant's domain texts, spelled and ordered
-        as it does, under one timestamp text per instant, convert one stamp
-        per instant and one counter column per domain; any other rows, and
-        rows whose values fail a check, are read by the walk."""
+    def _whole_instants(self, fields: list[str], whole: int) -> _Instants | None:
+        """The instants of the first `whole` rows, converted and checked, if
+        they list the first instant's domain texts, spelled and ordered as it
+        does, under one timestamp text per instant, and their values pass the
+        checks; else None."""
         width = len(self.domains)
         end, stride = 4 * whole, 4 * width
         stamp_texts = fields[0:end:stride]
-        if fields[1:end:4] == self._spelled * (whole // width) and all(
-                fields[j:end:stride] == stamp_texts for j in range(4, stride, 4)):
-            try:
-                stamps = array("d", map(float, stamp_texts))
-                columns = [list(map(int, fields[j:end:stride])) for j in range(2, stride, 4)]
-                ranges = list(map(int, set(fields[3:end:4])))
-            except ValueError:
-                pass
-            else:
-                # time strictly increases from the first instant's stamp, which
-                # is finite, so every stamp is finite if the span to the last is
-                since_last = self._last_stamp + stamps
-                if (all(map(lt, since_last, islice(since_last, 1, None)))
-                        and math.isfinite(stamps[-1] - self._first_stamp)
-                        and all(_in_range(column, 0) for column in columns)
-                        and _in_range(ranges, 1)):
-                    return stamps, columns
+        if fields[1:end:4] != self._spelled * (whole // width) or any(
+                fields[j:end:stride] != stamp_texts for j in range(4, stride, 4)):
+            return None
         try:
-            walk = self._walk(iter([(fields, numbers[:whole], None)]))
-            next(walk)  # the instant carried from the batch before
-            instants = [(stamp, instant) for _, _, stamp, instant in walk]
-        except TraceError:
-            self._fail(fields, numbers)
-        return (array("d", [stamp for stamp, _ in instants]),
-                [[instant[domain][1] for _, instant in instants] for domain in self.domains])
-
-    def _fail(self, fields: list[str], numbers: list[int],
-              error: TraceError | None = None) -> NoReturn:
-        """Raise the first defect by line from a batch on, in a trace that
-        fails a check there."""
-        for _ in self._walk(chain([(fields, numbers, error)], self._batches)):
-            pass
-        raise AssertionError("a check failed but no row-by-row check does")
+            stamps = array("d", map(float, stamp_texts))
+            columns = [list(map(int, fields[j:end:stride])) for j in range(2, stride, 4)]
+            ranges = list(map(int, set(fields[3:end:4])))
+        except ValueError:
+            return None
+        # time strictly increases from the first instant's stamp, which is
+        # finite, so every stamp is finite if the span to the last is
+        since_last = self._last_stamp + stamps
+        if (all(map(lt, since_last, islice(since_last, 1, None)))
+                and math.isfinite(stamps[-1] - self._first_stamp)
+                and all(_in_range(column, 0) for column in columns)
+                and _in_range(ranges, 1)):
+            return stamps, columns
+        return None
 
     def _walk(self, batches: Iterator) -> Iterator[tuple[_Batch, int, float, dict[str, Any]]]:
         """Read the rows of `batches` one at a time, as
         `tests/trace_reference.py` does, continuing the instants checked so
-        far (rows that begin the trace set `_first_stamp`), and raise the
-        first defect, at the trace's end the last instant's cover or the
-        count of instants.  Yield each instant once it is checked, at the
-        first row of the next or at the trace's end: the batch and index of
-        that row (at the end, the batch's length), its timestamp and, per
-        domain in row order, its spelling, counter and range text (None if
-        checked before the walk)."""
+        far (rows that begin the trace set `_first_stamp`), to the trace's
+        end, and raise the first defect, at the end the last instant's cover
+        or the count of instants.  Yield each instant once it is checked, at
+        the first row of the next or at the trace's end: the batch and index
+        of that row (at the end, the batch's length), by which `read` groups
+        them, its timestamp and, per domain in row order, its spelling,
+        counter and range text (None if checked before the walk)."""
         covered = set(self.domains) or None
         index = self.instants - 1  # the instant the rows continue
         group_ts = self._last_stamp[0] if self._last_stamp else None

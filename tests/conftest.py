@@ -3,12 +3,17 @@ import math
 import os
 
 import pytest
+from hypothesis import settings
 
 import carbonrun
 from carbonrun.griddata import DatasetSnapshot
 from carbonrun.meter import UJ_PER_J, Energy
 
 MAX_RANGE_UJ = 262_143_328_850
+
+# `pytest --hypothesis-profile deep` runs a property 3000 times; the loader's
+# agreement property takes the larger of this and its own 300
+settings.register_profile("deep", max_examples=3000)
 
 
 def constant_trace(watts, duration_s, interval_s=1.0, domains=("pkg-0",), start_uj=0):

@@ -355,6 +355,28 @@ class TestStdioTransparency:
         assert "Energy Usage Report" not in proc.stderr
         assert not marker.exists()
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "html"])
+    @pytest.mark.parametrize("overflow", ["tv_minute_factor", "efficiency"])
+    def test_a_figure_beyond_a_float_writes_no_report(self, tmp_path, fmt, overflow):
+        # each input is finite and accepted, but a derived figure is not finite
+        trace, out = tmp_path / "trace.csv", tmp_path / "report"
+        if overflow == "tv_minute_factor":  # 0.1 kJ at 1e-320 kg CO2 per TV minute
+            factors = tmp_path / "factors.csv"
+            factors.write_text(emissions.read_data(None, emissions.EQUIV_DATA_FILE).replace(
+                "kg_per_tv_minute,0.0016182,", "kg_per_tv_minute,1e-320,"))
+            trace.write_text("0,pkg,0,1000000000000\n1,pkg,100000000,1000000000000\n")
+            flags = ("--equivalencies", str(factors), "--location", "us-wy")
+        else:  # 3.6 kJ from a supply 3e-310 efficient
+            trace.write_text("0,pkg,0,1000000000000\n1,pkg,3600000000,1000000000000\n")
+            flags = ("--efficiency", "3e-310")
+        proc = run_cli("run", "--trace", str(trace), "--offline", "--format", fmt,
+                       "--out", str(out), *flags, "--", "sh", "-c", "exit 3")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "carbonrun: error: the report's tv_minutes is inf, not a finite number; "
+            "nothing to report\n")
+        assert not out.exists()
+
     def test_unwritable_report_keeps_the_child_exit_code(self, trace_file, tmp_path):
         folder = tmp_path / "gone"
         folder.mkdir()

@@ -280,6 +280,12 @@ class TestSnapshot:
         expected = sum(c.mix.coal for c in europe) / len(europe)
         assert agg.mix.coal == pytest.approx(expected)
 
+    def test_europe_aggregate_mix_is_pinned(self, snapshot):
+        # each share summed left to right, as Python 3.11's sum() does; the
+        # compensated sum() of 3.12 moves coal, oil and gas in the last bits
+        assert tuple(snapshot.regions["europe-average"].mix) == (
+            0.18965384615384612, 0.08473076923076915, 0.22323076923076932, 0.5023846153846153)
+
     def test_region_partition(self, snapshot):
         sizes = collections.Counter(r.group for r in snapshot.regions.values())
         assert sizes[RegionGroup.US] == 51

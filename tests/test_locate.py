@@ -35,7 +35,8 @@ class GeoHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def geo_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), GeoHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for the next poll, 0.5 s apart by default
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     GeoHandler.payload = b"{}"
     GeoHandler.status = 200

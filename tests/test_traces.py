@@ -346,7 +346,8 @@ def _replay_csv(text):
     return totals(TraceSource.from_csv(text))
 
 
-@settings(max_examples=300, deadline=None)
+# 300 examples, or as many as `--hypothesis-profile deep` asks for (conftest.py)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(text=trace_texts(), chunk_chars=st.sampled_from([16, 64, 32 * 1024]))
 def test_columnar_loader_agrees_with_row_by_row_reference(text, chunk_chars):
     # small chunks cut instants, and pairs that wrap, at chunk borders
@@ -432,12 +433,30 @@ def test_only_the_first_instant_of_a_plain_trace_is_walked(monkeypatch):
         return walk(self, batches)
 
     monkeypatch.setattr(traces._Loader, "_walk", counting)
-    # the first instant, then each batch holding a reordered instant
-    for rows, expected in ((clean, 1), (reordered, 1 + chunks // 2)):
+    # the first instant, then the first batch holding a reordered instant,
+    # from which the walk reads the trace to its end
+    for rows, expected in ((clean, 1), (reordered, 2)):
         text = "".join(",".join(row) + "\n" for row in rows)
         del walks[:]
         assert totals(TraceSource.from_csv(text)) == reference_totals(text)
         assert len(walks) == expected
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_a_defect_after_the_hand_off_to_the_walk_reads_as_row_by_row(defect):
+    # an instant reordered in the second chunk hands the rest of the trace
+    # to the walk, which must name a defect five chunks later itself
+    rows, cut = _border_rows()
+    text = "".join(",".join(row) + "\n" for row in rows)
+    starts = list(accumulate(chunk.count("\n") for chunk in traces._chunks(io.StringIO(text))))
+    assert len(starts) > 7
+    _irregular("reordered_instant", rows, cut - 2 * len(DOMAINS))
+    _apply(defect, rows, starts[5] + 2 * len(DOMAINS) + 1)
+    text = "".join(",".join(row) + "\n" for row in rows)
+    expected = _outcome(reference_totals, text)
+    assert expected.startswith("TraceError: ")
+    assert _outcome(_replay_csv, text) == expected
+    assert _outcome(parse_trace, text) == _outcome(reference_parse, text)
 
 
 def _jittered_trace(instants, seed):
@@ -461,20 +480,36 @@ def test_streamed_totals_equal_the_whole_trace_fold_to_the_last_bit(chunk_chars,
     assert _replay_csv(text) == reference_totals(text)
 
 
-def test_replay_memory_does_not_grow_with_trace_length(tmp_path):
-    def parse_peak_bytes(instants):
-        path = tmp_path / f"{instants}.csv"
-        path.write_text(constant_trace(10.0, instants, domains=("pkg-0", "pkg-1")))
-        tracemalloc.start()
-        try:
-            source = TraceSource.from_file(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert totals(source)[2:] == (instants, 0, instants)
-        return peak
+def _replay_peak_bytes(folder, instants, reordered=False):
+    """The peak traced bytes of replaying a two-domain trace of `instants`
+    instants from a file, its second instant's rows swapped if `reordered`."""
+    lines = constant_trace(10.0, instants, domains=("pkg-0", "pkg-1")).splitlines(keepends=True)
+    if reordered:
+        lines[2:4] = lines[3:1:-1]
+    path = folder / f"{instants}-{reordered}.csv"
+    path.write_text("".join(lines))
+    tracemalloc.start()
+    try:
+        source = TraceSource.from_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert totals(source)[2:] == (instants, 0, instants)
+    return peak
 
-    parse_peak_bytes(10)  # first-use allocations
+
+def test_replay_memory_does_not_grow_with_trace_length(tmp_path):
+    _replay_peak_bytes(tmp_path, 10)  # first-use allocations
     # the larger file is 5 MB: holding its instants, or reading it whole,
     # would show here
-    assert abs(parse_peak_bytes(50_000) - parse_peak_bytes(5_000)) <= 64 * 1024
+    assert abs(_replay_peak_bytes(tmp_path, 50_000) - _replay_peak_bytes(tmp_path, 5_000)) <= 64 * 1024
+
+
+def test_walked_replay_memory_does_not_grow_with_trace_length(tmp_path):
+    # the second instant hands the rest of the trace to the walk, which
+    # must hand on its instants a batch at a time
+    # first-use allocations: a walk of a few batches fills the interpreter's
+    # free list of 3-tuples, ~120 KiB
+    _replay_peak_bytes(tmp_path, 1000, reordered=True)
+    assert (_replay_peak_bytes(tmp_path, 50_000, reordered=True)
+            <= _replay_peak_bytes(tmp_path, 5_000, reordered=True) + 64 * 1024)
