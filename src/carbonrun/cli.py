@@ -18,8 +18,8 @@ import sys
 from typing import NoReturn
 
 from . import __version__
-from .bench import GuardExceeded, WorkloadShape, WorkloadSpec
-from .emissions import RANKS, EquivalencyError, load_equivalency_factors
+from .bench import DEFAULT_UNIT_OPS, GuardExceeded, WorkloadShape, WorkloadSpec
+from .emissions import RANKS, load_equivalency_factors
 from .griddata import DatasetSnapshot, RegionGroup, SchemaError, UnknownRegion
 from .locate import DEFAULT_CHOICES, resolve_location
 from .meter import (
@@ -100,8 +100,7 @@ def run_measured(
             ),
             None,
         )
-    except (SchemaError, EquivalencyError, UnknownRegion, TraceError, ReadFailure,
-            ValueError, OSError) as exc:
+    except (SchemaError, UnknownRegion, TraceError, ReadFailure, ValueError, OSError) as exc:
         return _fail(str(exc)), None
 
     try:
@@ -344,9 +343,8 @@ def _parser(prog_name: str) -> argparse.ArgumentParser:
                     help="Measure a synthetic SHAPE workload of size N.")
     bench.add_argument("shape", choices=[s.value for s in WorkloadShape], metavar="SHAPE")
     bench.add_argument("n", type=int, metavar="N")
-    bench.add_argument("--unit-ops", type=int, metavar="INT",
-                       default=WorkloadSpec._field_defaults["unit_ops"],
-                       help="Additions per work unit (default 50,000,000).")
+    bench.add_argument("--unit-ops", type=int, metavar="INT", default=DEFAULT_UNIT_OPS,
+                       help=f"Additions per work unit (default {DEFAULT_UNIT_OPS:,}).")
     _add_measurement_options(bench)
     return parser
 
@@ -354,6 +352,14 @@ def _parser(prog_name: str) -> argparse.ArgumentParser:
 def main(args: list[str] | None = None, prog_name: str = "carbonrun") -> NoReturn:
     """Parse `args` (default: `sys.argv[1:]`), run the subcommand, and exit
     with its code; a usage error exits 2."""
+    for name in ("stdout", "stderr"):
+        if getattr(sys, name) is None:
+            # closed before carbonrun started (`>&-`): write into a pipe with
+            # no reader, so that writing fails as into a closed pipe; the
+            # child still finds the descriptor closed, as under `time`
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            setattr(sys, name, open(write_end, "w", buffering=1, closefd=False))
     try:
         try:
             options = _parser(prog_name).parse_args(args)

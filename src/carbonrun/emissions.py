@@ -1,20 +1,22 @@
 """Price measured energy: CO2 equivalents and the regional comparison panels.
 
 A region's intensity is `RegionRecord.kg_co2_per_kwh`; CO2 mass is energy
-times that intensity, here and in the report's headline alike.
+times that intensity, here and in the report's headline alike.  The
+equivalency table is read by the grid snapshots' own rule
+(`griddata.read_rows`), and a bad one is a `griddata.SchemaError` too.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from typing import NamedTuple
 
-from .griddata import DatasetSnapshot, RegionGroup, RegionRecord, read_data
+from .griddata import (DatasetSnapshot, RegionGroup, RegionRecord, SchemaError, parse_number,
+                       read_data, read_rows)
 from .records import Checked
 
 EQUIV_DATA_FILE = "equivalencies.csv"
+EQUIV_HEADER = ["key", "value", "unit", "source"]
 
 GROUP_LABELS = {
     RegionGroup.US: "United States",
@@ -23,10 +25,6 @@ GROUP_LABELS = {
 }
 
 RANKS = ("lowest", "median", "highest")
-
-
-class EquivalencyError(Exception):
-    """The equivalency factor table is missing keys or has bad values."""
 
 
 class _Factors(NamedTuple):
@@ -41,38 +39,21 @@ class EquivalencyFactors(Checked, _Factors):
     def _check(self):
         for key, value in zip(self._fields, self):
             if not math.isfinite(value) or value <= 0:
-                raise EquivalencyError(f"{key}={value} must be a positive number")
+                raise SchemaError(f"{key}={value} must be a positive number")
 
     @classmethod
     def from_csv(cls, text: str) -> "EquivalencyFactors":
-        """Load factors from a `key,value,unit,source` table; each key once."""
+        """Load factors from a `key,value,unit,source` table, read as the grid
+        snapshots are: the exact header, four fields a row, and each key,
+        matched case-insensitively, once.  Keys that name no factor are
+        skipped; a missing factor or a bad value is a SchemaError."""
         values = {}
-        reader = csv.DictReader(io.StringIO(text))
-        try:
-            fieldnames, rows = reader.fieldnames, [(reader.line_num, row) for row in reader]
-        except csv.Error as exc:
-            # DictReader updates its own line_num only after a row is read
-            raise EquivalencyError(f"line {reader.reader.line_num}: {exc}") from None
-        expected = {"key", "value", "unit", "source"}
-        if fieldnames is None or not expected.issubset(fieldnames):
-            raise EquivalencyError(
-                f"equivalency table needs columns {sorted(expected)}"
-            )
-        for lineno, row in rows:
-            key = (row["key"] or "").strip()
-            if key not in cls._fields:
-                continue
-            if key in values:
-                raise EquivalencyError(f"line {lineno}: duplicate equivalency key {key!r}")
-            try:
-                values[key] = float(row["value"])
-            except (TypeError, ValueError):
-                raise EquivalencyError(
-                    f"equivalency {key}: bad value {row['value']!r}"
-                ) from None
+        for lineno, key, fields in read_rows(text, EQUIV_HEADER, "equivalency"):
+            if key in cls._fields:
+                values[key] = parse_number(fields, "value", lineno)
         missing = [k for k in cls._fields if k not in values]
         if missing:
-            raise EquivalencyError(f"equivalency table missing {missing}")
+            raise SchemaError(f"equivalency table missing {missing}")
         return cls(**values)
 
 

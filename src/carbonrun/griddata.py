@@ -4,12 +4,15 @@ Two embedded UTF-8 CSV snapshots (2016 vintage), either of which a user's
 file may replace, drive everything:
 
 * `us_grid_2016.csv`: per-state fuel mix, the direct output emission rate in
-  lbs CO2 per MWh, and per-fuel generation and emissions.  The generation
-  weights the US average; the emissions columns are checked but price
-  nothing.
+  lbs CO2 per MWh, and per-fuel generation and emissions.  Each state keeps
+  only its fossil generation's sum, which weights the US average; the
+  emissions columns are checked but price nothing.
 * `intl_grid_2016.csv`: per-country fuel mix only.  Countries carry no
   direct rate; their intensity is the mix weighted by canonical per-fuel
   intensities.
+
+Their row reader, `read_rows`, reads the equivalency table too (`emissions`),
+so a user's file of any of the three kinds is held to one rule.
 
 Three synthetic aggregate regions are built at load time: us-average
 (generation weighted), europe-average (unweighted mean mix) and
@@ -170,15 +173,8 @@ class RegionRecord(NamedTuple):
 Extremes = tuple[RegionRecord, RegionRecord, RegionRecord]
 
 
-class StateRow(NamedTuple):
-    """One parsed US snapshot row, keeping the per-fuel columns."""
-
-    record: RegionRecord
-    generation_mwh: dict[str, float]
-    emissions_kt: dict[str, float]
-
-
-def _parse_float(fields: dict[str, str], column: str, lineno: int) -> float:
+def parse_number(fields: dict[str, str], column: str, lineno: int) -> float:
+    """The finite float in a row's `column`; else a SchemaError naming its line."""
     raw = fields[column]
     try:
         value = float(raw)
@@ -190,7 +186,7 @@ def _parse_float(fields: dict[str, str], column: str, lineno: int) -> float:
 
 
 def _parse_nonnegative(fields: dict[str, str], column: str, lineno: int) -> float:
-    value = _parse_float(fields, column, lineno)
+    value = parse_number(fields, column, lineno)
     if value < 0:
         raise SchemaError(f"line {lineno}: negative {column} {value}")
     return value
@@ -198,7 +194,7 @@ def _parse_nonnegative(fields: dict[str, str], column: str, lineno: int) -> floa
 
 def _parse_mix(fields: dict[str, str], lineno: int, clamp: bool = False) -> EnergyMix:
     """The row's mix; `clamp` zeroes negligibly negative shares first."""
-    fracs = [_parse_float(fields, column, lineno) for column in MIX_COLUMNS]
+    fracs = [parse_number(fields, column, lineno) for column in MIX_COLUMNS]
     if clamp:
         fracs = [0.0 if NEGLIGIBLE_NEGATIVE < value < 0.0 else value for value in fracs]
     try:
@@ -207,16 +203,18 @@ def _parse_mix(fields: dict[str, str], lineno: int, clamp: bool = False) -> Ener
         raise SchemaError(f"line {lineno}: {exc}") from None
 
 
-def _snapshot_rows(
+def read_rows(
     text: str, header: list[str], kind: str, excluded: Container[str] = ()
-) -> Iterator[tuple[int, str, str, dict[str, str]]]:
-    """Yield (line number, id, name, fields by column) for each row of a
-    snapshot CSV whose first two columns are a region's id and name.
-
-    Blank lines are skipped and rows named in `excluded` are dropped before
-    the duplicate-id check.  Ids are lower-cased.  A `csv.Error`, such as a
-    field over `csv.field_size_limit()`, is a SchemaError naming its line.
-    """
+) -> Iterator[tuple[int, str, dict[str, str]]]:
+    """Yield (line number, key, fields by column) for each row of a data
+    table, a grid snapshot or the equivalency table, by one rule: the first
+    line is exactly `header`, blank lines are skipped, each other row has one
+    field per column, and its first two fields (the key, lower-cased, and a
+    name or value) are not empty.  No key repeats, but rows whose second
+    field, lower-cased, is in `excluded` are dropped first.  Errors name a column without
+    its `kind` prefix ("state id").  A `csv.Error`, such as a field over
+    `csv.field_size_limit()`, is a SchemaError naming its line."""
+    key_noun, name_noun = (column.removeprefix(kind + "_") for column in header[:2])
     rows = csv.reader(io.StringIO(text))
     try:
         actual = next(rows, None)
@@ -225,7 +223,7 @@ def _snapshot_rows(
                 f"bad header: expected {','.join(header)}, got "
                 f"{','.join(actual) if actual else '<empty file>'}"
             )
-        seen_ids: set[str] = set()
+        seen: set[str] = set()
         for lineno, row in enumerate(rows, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -233,41 +231,34 @@ def _snapshot_rows(
                 raise SchemaError(
                     f"line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            region_id, name = row[0].strip().lower(), row[1].strip()
+            key, name = row[0].strip().lower(), row[1].strip()
             if name.lower() in excluded:
                 continue
-            if not region_id or not name:
-                raise SchemaError(f"line {lineno}: empty {kind} id or name")
-            if region_id in seen_ids:
-                raise SchemaError(f"line {lineno}: duplicate {kind} id {region_id!r}")
-            seen_ids.add(region_id)
-            yield lineno, region_id, name, dict(zip(header, row))
+            if not key or not name:
+                raise SchemaError(f"line {lineno}: empty {kind} {key_noun} or {name_noun}")
+            if key in seen:
+                raise SchemaError(f"line {lineno}: duplicate {kind} {key_noun} {key!r}")
+            seen.add(key)
+            yield lineno, key, dict(zip(header, row))
     except csv.Error as exc:
         raise SchemaError(f"line {rows.line_num}: {exc}") from None
 
 
-def parse_egrid(text: str) -> list[StateRow]:
-    """Parse the US state snapshot CSV into validated rows."""
+def parse_egrid(text: str) -> list[tuple[RegionRecord, float]]:
+    """Parse the US state snapshot CSV into (record, fossil generation in
+    MWh) pairs.  Every generation and emissions column is checked; only the
+    generation's sum, which weights the US average, is kept."""
     out = []
-    for lineno, state_id, name, fields in _snapshot_rows(text, EGRID_HEADER, "state"):
+    for lineno, state_id, fields in read_rows(text, EGRID_HEADER, "state"):
         mix = _parse_mix(fields, lineno)
         rate = _parse_nonnegative(fields, "output_rate_lbs_per_mwh", lineno)
-        generation = {
-            fuel: _parse_nonnegative(fields, column, lineno)
-            for fuel, column in zip(FOSSIL_FUELS, GENERATION_COLUMNS)
-        }
-        emissions = {
-            fuel: _parse_nonnegative(fields, column, lineno)
-            for fuel, column in zip(FOSSIL_FUELS, EMISSIONS_COLUMNS)
-        }
-        record = RegionRecord(
-            id=state_id,
-            display_name=name,
-            mix=mix,
-            direct_rate_lbs_per_mwh=rate,
-            group=RegionGroup.US,
-        )
-        out.append(StateRow(record, generation, emissions))
+        generation = 0.0  # a loop, not sum(), as in `weighted_kg_per_mwh`
+        for column in GENERATION_COLUMNS:
+            generation += _parse_nonnegative(fields, column, lineno)
+        for column in EMISSIONS_COLUMNS:
+            _parse_nonnegative(fields, column, lineno)
+        name = fields["state_name"].strip()
+        out.append((RegionRecord(state_id, name, mix, rate, RegionGroup.US), generation))
     return out
 
 
@@ -279,8 +270,8 @@ def parse_eia(text: str) -> list[RegionRecord]:
     rounding are clamped to zero.
     """
     out = []
-    rows = _snapshot_rows(text, EIA_HEADER, "country", EIA_EXCLUDED_NAMES)
-    for lineno, country_id, name, fields in rows:
+    rows = read_rows(text, EIA_HEADER, "country", EIA_EXCLUDED_NAMES)
+    for lineno, country_id, fields in rows:
         is_europe_raw = fields["is_europe"].strip().lower()
         if is_europe_raw in ("true", "1", "yes"):
             is_europe = True
@@ -288,15 +279,10 @@ def parse_eia(text: str) -> list[RegionRecord]:
             is_europe = False
         else:
             raise SchemaError(f"line {lineno}: is_europe={fields['is_europe']!r}")
-        out.append(
-            RegionRecord(
-                id=country_id,
-                display_name=name,
-                mix=_parse_mix(fields, lineno, clamp=True),
-                direct_rate_lbs_per_mwh=None,
-                group=RegionGroup.EUROPE if is_europe else RegionGroup.GLOBAL,
-            )
-        )
+        group = RegionGroup.EUROPE if is_europe else RegionGroup.GLOBAL
+        name = fields["country_name"].strip()
+        out.append(RegionRecord(country_id, name, _parse_mix(fields, lineno, clamp=True),
+                                None, group))
     return out
 
 
@@ -322,7 +308,7 @@ class DatasetSnapshot:
         countries = parse_eia(read_data(intl_path, INTL_DATA_FILE))
 
         regions: dict[str, RegionRecord] = {}
-        for rec in [row.record for row in states] + countries:
+        for rec in [record for record, _ in states] + countries:
             if rec.id in regions:
                 raise SchemaError(f"region id {rec.id!r} appears in both snapshots")
             regions[rec.id] = rec
@@ -396,7 +382,7 @@ def read_data(path: str | None, name: str) -> str:
 
 
 def _build_aggregates(
-    states: list[StateRow], countries: list[RegionRecord]
+    states: list[tuple[RegionRecord, float]], countries: list[RegionRecord]
 ) -> list[RegionRecord]:
     aggregates = [
         RegionRecord(
@@ -413,17 +399,14 @@ def _build_aggregates(
     weighted_rate = 0.0
     weighted_mix = [0.0] * len(FUELS)
     total_weight = 0.0
-    for row in states:
-        mix = row.record.mix
+    for state, generation in states:
+        mix = state.mix
         fossil_frac = mix.coal + mix.oil + mix.natural_gas
         if fossil_frac <= 0:
             continue
-        generation = 0.0  # a loop, not sum(), as in `weighted_kg_per_mwh`
-        for mwh in row.generation_mwh.values():
-            generation += mwh
         weight = generation / fossil_frac
         total_weight += weight
-        weighted_rate += weight * row.record.direct_rate_lbs_per_mwh
+        weighted_rate += weight * state.direct_rate_lbs_per_mwh
         weighted_mix = [total + weight * frac for total, frac in zip(weighted_mix, mix)]
     if total_weight <= 0:
         raise SchemaError("no US state reports fossil generation to weight the US average by")

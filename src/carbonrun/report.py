@@ -59,7 +59,10 @@ class ReportHeader(NamedTuple):
 
     @property
     def command_line(self) -> str:
-        return " ".join((self.command, *self.arguments))
+        """The command line as text; a byte that is not UTF-8, which Python
+        keeps as a lone surrogate, shows as `\\xNN`."""
+        line = " ".join((self.command, *self.arguments))
+        return line.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
 
 
 class MixSection(NamedTuple):

@@ -91,6 +91,11 @@ def oversized_field_data_file(tmp_path, name):
     return str(path)
 
 
+def closed_entry(redirect, entry=CLI):
+    """`entry` started with a standard descriptor closed (`>&-` or `2>&-`)."""
+    return ("sh", "-c", f'exec "$@" {redirect}', "sh", *entry)
+
+
 def no_europe_data_file(tmp_path):
     """A country snapshot whose only country is outside Europe."""
     path = tmp_path / "no-europe.csv"
@@ -217,6 +222,25 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr == (
             f"carbonrun: error: line 2: field larger than field limit ({csv.field_size_limit()})\n")
+        assert not marker.exists()
+
+    # the equivalency table is read by the grid snapshots' rule
+    @pytest.mark.parametrize("header,line", [
+        ("value,key,unit,source", None),
+        ("key,value,unit,source,note", None),
+        ("key,value,unit,source", "kg_per_km,0.25,kg CO2 per km,x\nKG_PER_KM,0.3,u,s\n"),
+    ], ids=["reordered", "extra-column", "repeated-key"])
+    def test_equivalency_table_by_the_grid_rule_exits_2_before_child(
+            self, trace_file, tmp_path, header, line):
+        text = griddata.read_data(None, emissions.EQUIV_DATA_FILE)
+        factors, marker = tmp_path / "factors.csv", tmp_path / "child-ran"
+        factors.write_text(text.replace("key,value,unit,source", header, 1) + (line or ""))
+        proc = measured_run(trace_file, "--equivalencies", str(factors),
+                            child=("touch", str(marker)))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "carbonrun: error: " + (
+            f"bad header: expected key,value,unit,source, got {header}\n" if line is None
+            else "line 6: duplicate equivalency key 'kg_per_km'\n")
         assert not marker.exists()
 
     @pytest.mark.parametrize("flag", ["--sample-interval", "--baseline-duration"])
@@ -598,6 +622,19 @@ class TestChildCommandLine:
         assert json.loads(proc.stdout) == child_args
         assert "Energy Usage Report" in proc.stderr  # a text report: --format stayed the child's
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "html"])
+    def test_an_argument_that_is_not_utf8_shows_as_an_escape(self, trace_file, fmt):
+        proc = run_cli("run", "--trace", trace_file, "--offline", "--format", fmt,
+                       "--report-to", "stdout", "--", "sh", "-c", "exit 3", b"a\xffb",
+                       text=False)
+        assert (proc.returncode, proc.stderr) == (3, b"")
+        if fmt == "json":  # JSON keeps the argument as Python reads it, and gives it back
+            doc = report.parse_report_json(proc.stdout)
+            assert doc.header.arguments == ("-c", "exit 3", "a\udcffb")
+            assert report.render_json(doc) == proc.stdout
+        else:  # valid UTF-8, with the byte spelled out
+            assert "sh -c exit 3 a\\xffb" in proc.stdout.decode("utf-8")
+
 
 class TestChildStart:
     def test_sigpipe_and_sigxfsz_start_at_their_defaults(self, trace_file):
@@ -764,6 +801,13 @@ class TestProgramEntry:
         assert (program.returncode, main.returncode) == (0, 0)
         assert program.stdout == main.stdout == "carbonrun, version 0.1.0\n"
 
+    def test_the_version_has_one_source(self):
+        # read as text, as above: the build takes it from the package
+        with open(PYPROJECT) as fh:
+            project = fh.read()
+        assert 'dynamic = ["version"]' in project.split("\n[", 2)[1]
+        assert '\n[tool.setuptools.dynamic]\nversion = {attr = "carbonrun.__version__"}\n' in project
+
     def test_help_into_a_closed_pipe_exits_1_quietly(self):
         env = dict(os.environ)
         env.pop("PYTHONUNBUFFERED", None)
@@ -776,6 +820,34 @@ class TestProgramEntry:
             codes.append(proc.returncode)
         assert codes == [1, 1]
         assert errors == ["", ""]
+
+    @pytest.mark.parametrize("entry", [CLI, MAIN], ids=["program", "main"])
+    @pytest.mark.parametrize("closed,report_to,code,report_on", [
+        (">&-", "stderr", 3, "stderr"),
+        ("2>&-", "stdout", 3, "stdout"),
+        (">&-", "stdout", 1, None),
+        ("2>&-", "stderr", 1, None),
+    ], ids=["stdout-closed-report-on-stderr", "stderr-closed-report-on-stdout",
+            "stdout-closed-report-on-it", "stderr-closed-report-on-it"])
+    def test_a_closed_stream_costs_the_exit_code_only_when_the_report_goes_there(
+            self, trace_file, entry, closed, report_to, code, report_on):
+        # closed before carbonrun starts, not redirected; the child finds it
+        # closed too: its echo fails, and it exits 3
+        child = "echo lost 2>/dev/null || exit 3" if closed == ">&-" else "exit 3"
+        proc = run_cli("run", "--trace", trace_file, "--offline", "--report-to", report_to,
+                       "--", "sh", "-c", child, entry=closed_entry(closed, entry))
+        assert proc.returncode == code
+        streams = {"stdout": proc.stdout, "stderr": proc.stderr}
+        if report_on:
+            assert streams.pop(report_on).startswith("=" * 24 + " Energy Usage Report")
+        assert set(streams.values()) == {""}
+
+    @pytest.mark.parametrize("entry", [CLI, MAIN], ids=["program", "main"])
+    @pytest.mark.parametrize("args", [("regions",), ("--help",), ("--version",),
+                                      ("run", "--help")])
+    def test_output_into_a_closed_stdout_exits_1_quietly(self, entry, args):
+        proc = run_cli(*args, entry=closed_entry(">&-", entry))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "")
 
     def test_json_report_equals_the_one_main_writes(self, trace_file, tmp_path, monkeypatch):
         monkeypatch.setattr(gc, "freeze", lambda: None)

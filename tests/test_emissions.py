@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from carbonrun.emissions import (
     RANKS,
     ComparisonPanel,
-    EquivalencyError,
     EquivalencyFactors,
     comparison_sets,
     equivalents_for,
@@ -19,6 +18,7 @@ from carbonrun.griddata import (
     KG_PER_LB,
     EnergyMix,
     RegionRecord,
+    SchemaError,
 )
 
 
@@ -50,33 +50,64 @@ class TestFactors:
 
     def test_missing_key(self):
         table = "key,value,unit,source\nkg_per_mile,0.404,u,s\n"
-        with pytest.raises(EquivalencyError):
+        with pytest.raises(SchemaError):
             EquivalencyFactors.from_csv(table)
 
     def test_bad_value(self):
-        with pytest.raises(EquivalencyError):
+        with pytest.raises(SchemaError) as err:
             EquivalencyFactors.from_csv(GOOD_TABLE.replace("0.404", "lots"))
+        assert str(err.value) == "line 2: value='lots' is not a number"
 
     def test_non_positive_value(self):
-        with pytest.raises(EquivalencyError):
+        with pytest.raises(SchemaError):
             EquivalencyFactors.from_csv(GOOD_TABLE.replace("0.404", "0"))
 
     @pytest.mark.parametrize("line", [1, 3])
     def test_oversized_field_names_its_line(self, line):
         lines = GOOD_TABLE.splitlines()
         lines[line - 1] += "x" * (csv.field_size_limit() + 1)
-        with pytest.raises(EquivalencyError, match=f"^line {line}: field larger than field limit"):
+        with pytest.raises(SchemaError, match=f"^line {line}: field larger than field limit"):
             EquivalencyFactors.from_csv("\n".join(lines))
 
     def test_duplicate_key_names_its_line(self):
         table = GOOD_TABLE + "kg_per_mile,99,kg CO2 per mile,test\n"
-        with pytest.raises(EquivalencyError) as err:
+        with pytest.raises(SchemaError) as err:
             EquivalencyFactors.from_csv(table)
         assert str(err.value) == "line 5: duplicate equivalency key 'kg_per_mile'"
 
     def test_missing_columns(self):
-        with pytest.raises(EquivalencyError):
+        with pytest.raises(SchemaError):
             EquivalencyFactors.from_csv("key,value\nkg_per_mile,0.404\n")
+
+    # the table is read by the grid snapshots' rule (`griddata.read_rows`)
+    @pytest.mark.parametrize("header", ["value,key,unit,source", "key,value,unit,source,note"])
+    def test_header_must_be_exact(self, header):
+        table = GOOD_TABLE.replace("key,value,unit,source", header)
+        with pytest.raises(SchemaError) as err:
+            EquivalencyFactors.from_csv(table)
+        assert str(err.value) == f"bad header: expected key,value,unit,source, got {header}"
+
+    def test_keys_match_case_insensitively(self):
+        table = GOOD_TABLE.replace("kg_per_mile,", " KG_per_Mile ,")
+        assert EquivalencyFactors.from_csv(table) == EquivalencyFactors.from_csv(GOOD_TABLE)
+
+    @pytest.mark.parametrize("row,got", [("kg_per_mile,0.404", 2),
+                                         ("kg_per_mile,0.404,u,s,extra", 5)])
+    def test_a_row_has_four_fields(self, row, got):
+        table = GOOD_TABLE.replace("kg_per_mile,0.404,kg CO2 per mile,test", row)
+        with pytest.raises(SchemaError) as err:
+            EquivalencyFactors.from_csv(table)
+        assert str(err.value) == f"line 2: expected 4 fields, got {got}"
+
+    def test_a_key_that_names_no_factor_may_not_repeat_either(self):
+        table = GOOD_TABLE + "kg_per_km,0.25,kg CO2 per km,test\nKG_PER_KM,0.3,u,s\n"
+        with pytest.raises(SchemaError) as err:
+            EquivalencyFactors.from_csv(table)
+        assert str(err.value) == "line 6: duplicate equivalency key 'kg_per_km'"
+
+    def test_a_key_that_names_no_factor_is_skipped(self):
+        table = GOOD_TABLE + "kg_per_km,0.25,kg CO2 per km,test\n"
+        assert EquivalencyFactors.from_csv(table) == EquivalencyFactors.from_csv(GOOD_TABLE)
 
     def test_custom_file(self, tmp_path):
         path = tmp_path / "eq.csv"

@@ -32,40 +32,33 @@ def intl_csv(*rows):
     return INTL_HEADER_LINE + "\n" + "\n".join(rows) + "\n"
 
 
-def serialize_egrid(rows):
+def serialize_egrid(states):
+    """CSV text for (record, fossil generation) pairs, as `parse_egrid`
+    returns them; each state's generation is all coal, with no emissions."""
+    return write_egrid([
+        [rec.id, rec.display_name, *map(_fmt, rec.mix), _fmt(rec.direct_rate_lbs_per_mwh),
+         _fmt(generation), "0", "0", "0", "0", "0"]
+        for rec, generation in states
+    ])
+
+
+def write_egrid(rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(EGRID_HEADER)
-    for row in rows:
-        rec, mix = row.record, row.record.mix
-        writer.writerow(
-            [
-                rec.id,
-                rec.display_name,
-                _fmt(mix.coal),
-                _fmt(mix.oil),
-                _fmt(mix.natural_gas),
-                _fmt(mix.low_carbon),
-                _fmt(rec.direct_rate_lbs_per_mwh),
-                _fmt(row.generation_mwh["coal"]),
-                _fmt(row.generation_mwh["oil"]),
-                _fmt(row.generation_mwh["natural_gas"]),
-                _fmt(row.emissions_kt["coal"]),
-                _fmt(row.emissions_kt["oil"]),
-                _fmt(row.emissions_kt["natural_gas"]),
-            ]
-        )
+    writer.writerows(rows)
     return buf.getvalue()
 
 
 def uniform_generation_us_text(mwh):
     """The packaged US snapshot with every state's generation of each fuel at
     `mwh` and its emissions at 0."""
-    rows = parse_egrid(griddata.read_data(None, griddata.US_DATA_FILE))
-    generation = dict.fromkeys(griddata.FOSSIL_FUELS, mwh)
-    zeros = dict.fromkeys(griddata.FOSSIL_FUELS, 0.0)
-    return serialize_egrid(
-        [row._replace(generation_mwh=generation, emissions_kt=zeros) for row in rows])
+    text = griddata.read_data(None, griddata.US_DATA_FILE)
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    first = EGRID_HEADER.index(griddata.GENERATION_COLUMNS[0])
+    for row in rows:
+        row[first:] = [_fmt(mwh)] * 3 + ["0"] * 3
+    return write_egrid(rows)
 
 
 def serialize_eia(records):
@@ -138,23 +131,29 @@ class TestEnergyMix:
 
 class TestParseEgrid:
     def test_happy_row(self):
-        rows = parse_egrid(us_csv(GOOD_STATE))
-        row = rows[0]
-        assert row.record.id == "us-zz"
-        assert row.record.group is RegionGroup.US
-        assert row.record.direct_rate_lbs_per_mwh == 1000.0
-        assert row.generation_mwh["coal"] == 500000
-        assert row.emissions_kt["natural_gas"] == 150.0
+        [(record, generation)] = parse_egrid(us_csv(GOOD_STATE))
+        assert record.id == "us-zz"
+        assert record.display_name == "Testonia"
+        assert record.group is RegionGroup.US
+        assert record.direct_rate_lbs_per_mwh == 1000.0
+        # coal, oil and gas generation, summed in that order
+        assert generation == 500000.0 + 100000.0 + 200000.0
 
     def test_round_trip(self):
-        rows = parse_egrid(us_csv(GOOD_STATE))
-        assert parse_egrid(serialize_egrid(rows)) == rows
+        states = parse_egrid(us_csv(GOOD_STATE))
+        assert parse_egrid(serialize_egrid(states)) == states
 
     def test_packaged_snapshot_round_trips(self):
         text = griddata.read_data(None, griddata.US_DATA_FILE)
-        rows = parse_egrid(text)
-        assert len(rows) == 51
-        assert parse_egrid(serialize_egrid(rows)) == rows
+        states = parse_egrid(text)
+        assert len(states) == 51
+        assert parse_egrid(serialize_egrid(states)) == states
+
+    def test_the_generation_sum_is_all_the_us_average_keeps(self, tmp_path, snapshot):
+        # the same sums, spread over the fuels otherwise, weight the same average
+        us = tmp_path / "us.csv"
+        us.write_text(serialize_egrid(parse_egrid(griddata.read_data(None, griddata.US_DATA_FILE))))
+        assert DatasetSnapshot.load(str(us)).regions == snapshot.regions
 
     def test_header_mismatch(self):
         with pytest.raises(SchemaError):
